@@ -22,7 +22,14 @@ from .errors import (
     VersionMismatchError,
 )
 from .expansion import AffineScaler, ExpansionSpec, monomial_exponents
-from .model import DEFAULT_BLOCK_ROWS, Dataset, GroupBlock, Hyperparams, LinearModel
+from .model import (
+    DEFAULT_BLOCK_ROWS,
+    Dataset,
+    GroupBlock,
+    Hyperparams,
+    LinearModel,
+    _column_major_copy,
+)
 
 BINARY_MAGIC = b"GCMB"
 BINARY_VERSION = 1
@@ -145,8 +152,10 @@ class BinaryDatasetReader:
 
     Iterating yields the same group-aligned blocks as
     :meth:`Dataset.iter_group_blocks` over the identical data, so objective
-    values computed either way agree bit-for-bit. Memory stays bounded by the
-    block budget plus one group.
+    values computed either way agree bit-for-bit. Each block's features are
+    a column-major copy, as in :class:`Dataset`, and a NaN feature raises
+    :class:`MalformedRecordError` at ``group <id> in <path>``. Memory stays
+    bounded by the block budget plus one group.
     """
 
     def __init__(self, path, read_chunk_rows: int = DEFAULT_BLOCK_ROWS):
@@ -241,18 +250,23 @@ class BinaryDatasetReader:
         rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
         sizes = np.array([len(g) for g in groups], dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        group_ids = rows["group_id"].astype(np.int64)
         return GroupBlock(
-            X=np.ascontiguousarray(rows["features"], dtype=np.float64),
+            X=_column_major_copy(rows["features"], group_ids, self.path),
             labels=rows["label"].astype(np.int8),
             is_key=rows["is_key"].astype(bool),
-            group_ids=rows["group_id"].astype(np.int64),
+            group_ids=group_ids,
             starts=starts,
             row_offset=row_offset,
         )
 
 
 def load_binary(path) -> Dataset:
-    """Load a whole binary dataset into memory."""
+    """Load a whole binary dataset into memory.
+
+    The features go to :class:`Dataset` as a strided view of the records, so
+    its column-major copy is the only copy of them.
+    """
     with open(path, "rb") as fh:
         d, n_rows = _read_header(fh, path)
         records = np.fromfile(fh, dtype=_record_dtype(d), count=n_rows)
@@ -265,7 +279,7 @@ def load_binary(path) -> Dataset:
     if np.any(np.diff(gids) < 0):
         raise UnsortedGroupError("rows are not sorted by group id", str(path))
     return Dataset(
-        np.ascontiguousarray(records["features"], dtype=np.float64),
+        records["features"],
         records["label"].astype(np.int8),
         gids,
         records["is_key"].astype(bool),

@@ -63,7 +63,11 @@ def monomial_names(d: int, degree: int) -> list[str]:
 
 
 def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
-    """Apply the lift to a raw feature matrix."""
+    """Apply the lift to a raw feature matrix.
+
+    The output is column-major: each monomial is written as one contiguous
+    column, and :class:`Dataset` copies it without a transpose.
+    """
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
     out_dim = expanded_dimension(d, spec.degree)
@@ -72,7 +76,7 @@ def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
             f"expansion needs {out_dim} output features, which exceeds the "
             f"cap of {spec.max_output_features}"
         )
-    cols = np.empty((X.shape[0], out_dim), dtype=np.float64)
+    cols = np.empty((X.shape[0], out_dim), dtype=np.float64, order="F")
     for i, exps in enumerate(monomial_exponents(d, spec.degree)):
         col = np.ones(X.shape[0], dtype=np.float64)
         for j, e in enumerate(exps):

@@ -2,9 +2,10 @@
 
 These types carry no algorithms. A :class:`Dataset` canonicalizes its rows so
 that every group occupies one contiguous block (stable sort by group id, input
-order preserved inside each group) and validates the structural invariants that
-the grouped objectives rely on: homogeneous labels per group and exactly one
-key candidate per positive group. All types are immutable after construction.
+order preserved inside each group), stores its features column-major, and
+validates the structural invariants that the grouped objectives rely on:
+homogeneous labels per group and exactly one key candidate per positive group.
+All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .errors import (
 
 #: Row budget per group-aligned block; one block always holds whole groups.
 DEFAULT_BLOCK_ROWS = 65536
+
+#: Rows per chunk of :func:`_column_major_copy`.
+COPY_CHUNK_ROWS = 4096
 
 #: Shipped default for the Huber width.
 DEFAULT_EPSILON = 1.0
@@ -149,16 +153,48 @@ def _as_array(values, dtype, name: str) -> np.ndarray:
         raise MalformedRecordError(f"{name} cannot be converted to {dtype}") from exc
 
 
+def _column_major_copy(X, group_ids: np.ndarray, path=None,
+                       order: np.ndarray | None = None) -> np.ndarray:
+    """Copy ``X`` into a new Fortran-order float64 matrix, rejecting NaN.
+
+    Output row ``r`` is ``X[order[r]]``, or ``X[r]`` when ``order`` is None;
+    ``group_ids[r]`` is its group. The copy runs :data:`COPY_CHUNK_ROWS` rows
+    at a time so that each chunk's transpose stays in cache, which makes it
+    far cheaper than ``np.asfortranarray`` on a row-major or strided input.
+    A NaN feature raises :class:`MalformedRecordError` located at its group,
+    with ``in <path>`` appended when ``path`` is given. Infinite features
+    pass.
+    """
+    out = np.empty(X.shape, dtype=np.float64, order="F")
+    for lo in range(0, X.shape[0], COPY_CHUNK_ROWS):
+        hi = lo + COPY_CHUNK_ROWS
+        chunk = out[lo:hi]
+        chunk[...] = X[lo:hi] if order is None else X[order[lo:hi]]
+        # a column's minimum is NaN exactly when the column holds a NaN
+        if np.isnan(chunk.min(axis=0)).any():
+            row = lo + np.flatnonzero(np.isnan(chunk).any(axis=1))[0]
+            where = f"group {int(group_ids[row])}"
+            if path is not None:
+                where += f" in {path}"
+            raise MalformedRecordError("features must not be NaN", where)
+    return out
+
+
 class Dataset:
     """Immutable collection of labeled, grouped candidate rows.
 
     Rows are stored sorted by group id (stable, so input order inside each
     group is preserved); this makes every group one contiguous block and lets
     grouped objectives stream the data a block of whole groups at a time.
+
+    ``X`` is a read-only Fortran-order (column-major) copy of the features,
+    so each feature of a block of rows is one contiguous run, which is the
+    order the grouped score kernel reads it in. Features must not be NaN;
+    infinite values are accepted.
     """
 
     def __init__(self, features, labels, group_ids, is_key):
-        X = np.array(features, dtype=np.float64, copy=True)
+        X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
             raise MalformedRecordError(f"features must be 2-D, got shape {X.shape}")
         labels = _as_array(labels, np.int8, "labels")
@@ -188,14 +224,14 @@ class Dataset:
                 "is_key is only valid on positive rows", f"row {bad[0]}"
             )
 
-        order = np.argsort(group_ids, kind="stable")
-        if not np.array_equal(order, np.arange(n)):
-            X = X[order]
+        order = None
+        if np.any(group_ids[1:] < group_ids[:-1]):
+            order = np.argsort(group_ids, kind="stable")
             labels = labels[order]
             group_ids = group_ids[order]
             is_key = is_key[order]
 
-        self.X = X
+        self.X = _column_major_copy(X, group_ids, order=order)
         self.labels = labels
         self.group_ids = group_ids
         self.is_key = is_key

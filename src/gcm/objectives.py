@@ -12,9 +12,20 @@ Two trainable objectives share the same three-term shape::
 
 Grouped evaluation consumes group-aligned blocks (``iter_group_blocks``), so
 it runs identically over an in-memory :class:`~gcm.model.Dataset` and a
-streaming binary reader. Scores are accumulated feature by feature and group
-contributions are reduced in fixed-size chunks, which makes the result
-bit-identical regardless of how the blocks partition the rows.
+streaming binary reader. Scores are accumulated feature by feature over the
+column-major feature blocks and group contributions are reduced in fixed-size
+chunks, which makes the result bit-identical regardless of how the blocks
+partition the rows.
+
+The grouped kernels apply the hinge once per group, not once per row: to the
+key row's margin for a positive group, and to ``-max(scores)`` for a negative
+group. Because ``smoothed_hinge`` is non-increasing, ``max_i L(-s_i)`` equals
+``L(-max_i s_i)``, and the negative group's subgradient row is the first row
+of its maximal score. One numerical caveat: for about 1% of ``delta`` values
+the float hinge rises by 1 ulp across the ``1 - 2 delta`` piece boundary (it
+never does at ``delta`` 0 or 0.5), so a group whose smallest margin lies
+within a few ulps of that boundary can differ by 1 ulp from the per-row
+maximum of the loss.
 """
 
 from __future__ import annotations
@@ -107,10 +118,17 @@ def _fixed_order_scores(X: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 
 
 def _group_argmax(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """First index of the per-group maximum; groups are contiguous runs."""
+    """First index of the per-group maximum; groups are contiguous runs.
+
+    A group holding a NaN has maximum NaN and yields its first NaN, as
+    ``np.argmax`` does, so every group keeps exactly one index.
+    """
     gmax = np.maximum.reduceat(values, starts[:-1])
     sizes = np.diff(starts)
-    hits = np.flatnonzero(values == np.repeat(gmax, sizes))
+    hit = values == np.repeat(gmax, sizes)
+    if np.isnan(gmax).any():
+        hit |= np.isnan(values)
+    hits = np.flatnonzero(hit)
     seg = np.repeat(np.arange(len(sizes)), sizes)
     _, first = np.unique(seg[hits], return_index=True)
     return hits[first]
@@ -157,18 +175,23 @@ def eval_per_candidate(model: LinearModel, data: Dataset,
 
 
 def _grouped_sums(model: LinearModel, source, hp: Hyperparams):
-    """One pass over group blocks: key-candidate and per-group-max loss sums."""
+    """One pass over group blocks: key-candidate and per-group-max loss sums.
+
+    The hinge runs on one margin per group: the key row's score for a
+    positive group, minus the group's maximal score for a negative one.
+    """
     pos_acc, neg_acc = _ChunkedSum(), _ChunkedSum()
     n_pos = n_neg = 0
     for block in source.iter_group_blocks():
         scores = _fixed_order_scores(block.X, model.w, model.b)
-        losses = smoothed_hinge(block.labels * scores, hp.delta)
-        glabels = block.labels[block.starts[:-1]]
-        pos_acc.add(losses[block.is_key])
-        gmax = np.maximum.reduceat(losses, block.starts[:-1])
-        neg_acc.add(gmax[glabels == -1])
-        n_pos += int(np.count_nonzero(glabels == 1))
-        n_neg += len(glabels) - int(np.count_nonzero(glabels == 1))
+        neg_groups = block.labels[block.starts[:-1]] == -1
+        key_scores = scores[block.is_key]
+        neg_margins = -np.maximum.reduceat(scores, block.starts[:-1])[neg_groups]
+        losses = smoothed_hinge(np.concatenate([key_scores, neg_margins]), hp.delta)
+        pos_acc.add(losses[:key_scores.size])
+        neg_acc.add(losses[key_scores.size:])
+        n_neg += neg_margins.size
+        n_pos += neg_groups.size - neg_margins.size
     return pos_acc.total(), n_pos, neg_acc.total(), n_neg
 
 
@@ -242,8 +265,9 @@ def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVe
     """Subgradient of :func:`eval_grouped`.
 
     Only key candidates (positive groups) and each negative group's
-    maximal-loss candidate carry coefficients; ties on the maximum resolve to
-    the lowest row index, which selects one valid subgradient
+    maximal-score candidate carry coefficients, and ``smoothed_hinge_prime``
+    runs on those margins only. Ties on the maximal score resolve to the
+    group's first such row, which selects one valid subgradient
     deterministically.
     """
     _check_dims(model, data.d)
@@ -257,23 +281,22 @@ def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVe
     n_pos = n_neg = 0
     for block in data.iter_group_blocks():
         scores = _fixed_order_scores(block.X, model.w, model.b)
-        margins = block.labels * scores
-        losses = smoothed_hinge(margins, hp.delta)
-        lprime = smoothed_hinge_prime(margins, hp.delta)
-        glabels = block.labels[block.starts[:-1]]
-        neg_groups = glabels == -1
-        n_pos += int(np.count_nonzero(glabels == 1))
-        n_neg += int(np.count_nonzero(neg_groups))
-
+        neg_groups = block.labels[block.starts[:-1]] == -1
         key_rows = np.flatnonzero(block.is_key)
+        amax = _group_argmax(scores, block.starts)[neg_groups]
+        lprime = smoothed_hinge_prime(
+            np.concatenate([scores[key_rows], -scores[amax]]), hp.delta
+        )
+        n_neg += amax.size
+        n_pos += neg_groups.size - amax.size
+
         if key_rows.size:
-            c = lprime[key_rows]
+            c = lprime[:key_rows.size]
             pos_w += block.X[key_rows].T @ c
             pos_b += float(np.sum(c))
 
-        amax = _group_argmax(losses, block.starts)[neg_groups]
         if amax.size:
-            c = -lprime[amax]
+            c = -lprime[key_rows.size:]
             neg_w += block.X[amax].T @ c
             neg_b += float(np.sum(c))
     if n_pos == 0 or n_neg == 0:

@@ -146,6 +146,18 @@ class TestEvaluate:
         assert groups_csv[0] == "group_id,label,group_score,argmax_row"
         assert groups_csv[1] == "0,-1,2.2,2"
 
+    def test_nan_feature_is_a_data_error(self, easy_files, tmp_path, capsys):
+        train_path, _ = easy_files
+        model_out = tmp_path / "m.json"
+        run("train", "--data", str(train_path), "--model-out", str(model_out),
+            "--algo", "gcm", "--lambda", "0.5")
+        bad = tmp_path / "nan.csv"
+        bad.write_text("group_id,label,is_key,f1,f2,f3\n"
+                       "0,+1,1,1.0,2.0,3.0\n1,-1,0,nan,nan,nan\n")
+        assert run("evaluate", "--model", str(model_out), "--data", str(bad),
+                   "--report-out", str(tmp_path / "r.csv")) == 3
+        assert "group 1" in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_code(self, easy_files, tmp_path, rng):
         train_path, _ = easy_files
         model_out = tmp_path / "m.json"

@@ -214,6 +214,50 @@ class TestStreaming:
                 pass
 
 
+def write_records(path, records):
+    """A binary dataset file holding ``records`` exactly as given."""
+    header = np.zeros(1, dtype=np.dtype(
+        [("magic", "S4"), ("version", "<u4"), ("d", "<u4"), ("n_rows", "<u8")]))
+    header["magic"] = BINARY_MAGIC
+    header["version"] = 1
+    header["d"] = records["features"].shape[1]
+    header["n_rows"] = len(records)
+    with open(path, "wb") as fh:
+        header.tofile(fh)
+        records.tofile(fh)
+
+
+class TestNanFeatures:
+    def test_text_loader_names_the_group(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("group_id,label,is_key,f1,f2\n"
+                        "0,+1,1,1.0,2.0\n5,-1,0,nan,0.5\n5,-1,0,1.0,0.5\n")
+        with pytest.raises(MalformedRecordError, match="NaN.*group 5"):
+            load_text(path)
+
+    @pytest.fixture
+    def nan_file(self, tmp_path):
+        records = np.zeros(6, dtype=_record_dtype(2))
+        records["group_id"] = [0, 0, 1, 2, 2, 2]
+        records["label"] = [1, 1, -1, -1, -1, -1]
+        records["is_key"] = [1, 0, 0, 0, 0, 0]
+        records["features"][4, 0] = np.nan
+        path = tmp_path / "nan.bin"
+        write_records(path, records)
+        return path
+
+    def test_binary_loader_names_the_group(self, nan_file):
+        with pytest.raises(MalformedRecordError, match="NaN.*group 2"):
+            load_binary(nan_file)
+
+    def test_streaming_reader_names_group_and_file(self, nan_file):
+        reader = BinaryDatasetReader(nan_file, read_chunk_rows=2)
+        with pytest.raises(MalformedRecordError,
+                           match=f"NaN.*group 2 in {nan_file}"):
+            for _ in reader.iter_group_blocks(max_rows=3):
+                pass
+
+
 class TestGenerator:
     def test_deterministic_per_seed(self, tmp_path):
         spec = GeneratorSpec(seed=7, n_pos_groups=4, n_neg_groups=9,

@@ -123,6 +123,24 @@ class TestDatasetValidation:
         with pytest.raises(MalformedRecordError):
             Dataset(np.zeros((0, 2)), [], [], [])
 
+    def test_nan_feature_rejected_with_its_group(self):
+        X = np.zeros((3, 2))
+        X[2, 1] = np.nan
+        with pytest.raises(MalformedRecordError, match="NaN.*group 7"):
+            Dataset(X, [1, -1, -1], [3, 7, 7], [True, False, False])
+
+    def test_nan_past_the_first_copy_chunk_names_its_group(self):
+        n = 10_000
+        X = np.zeros((n, 1))
+        X[n - 5, 0] = np.nan
+        gids = np.arange(n)[::-1]  # unsorted: row n - 5 is group 4
+        with pytest.raises(MalformedRecordError, match=r"group 4\b"):
+            Dataset(X, [-1] * n, gids, [False] * n)
+
+    def test_infinite_features_accepted(self):
+        ds = Dataset([[np.inf], [-np.inf]], [1, -1], [0, 1], [True, False])
+        assert ds.X[:, 0].tolist() == [np.inf, -np.inf]
+
 
 class TestDatasetStructure:
     def test_rows_sorted_by_group_with_stable_order(self):
