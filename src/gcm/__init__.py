@@ -66,24 +66,17 @@ from .expansion import (
 )
 from .generator import GeneratorSpec, PRESETS, easy_spec, generate, hard_negatives_spec
 from .model import (
-    Aggregation,
-    Candidate,
     DEFAULT_DELTA,
     DEFAULT_EPSILON,
     Dataset,
     GroupBlock,
     Hyperparams,
     LinearModel,
-    ObjectiveSpec,
-    soft_margin,
 )
 from .objectives import (
-    ActiveSets,
     GradientVector,
     ObjectiveValue,
-    active_sets,
     eval_grouped,
-    eval_grouped_positive_max,
     eval_per_candidate,
     gradient_per_candidate,
     subgradient_grouped,
@@ -95,25 +88,24 @@ from .train import train_gcm, train_per_candidate
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSets", "AffineScaler", "Aggregation", "Algorithm",
-    "BinaryDatasetReader", "Candidate", "ConfigurationError", "CvPlan",
-    "DEFAULT_DELTA", "DEFAULT_EPSILON", "DEFAULT_LAMBDA_GRID",
+    "AffineScaler", "Algorithm", "BinaryDatasetReader", "ConfigurationError",
+    "CvPlan", "DEFAULT_DELTA", "DEFAULT_EPSILON", "DEFAULT_LAMBDA_GRID",
     "DataFormatError", "Dataset", "DimensionMismatchError", "DomainError",
     "EvalReport", "ExpansionSpec", "GcmError", "GeneratorSpec",
     "GradientVector", "GroupBlock", "Hyperparams", "LambdaCvResult",
     "LinearModel", "MalformedRecordError", "MiSvmConfig", "MissingKeyError",
     "MixedLabelGroupError", "MultipleKeysError", "NumericalError",
-    "ObjectiveSpec", "ObjectiveValue", "PRESETS", "SavedModel", "ScoredGroup",
+    "ObjectiveValue", "PRESETS", "SavedModel", "ScoredGroup",
     "SelectorState", "SolveTrace", "SolverConfig", "Termination",
-    "UnsortedGroupError", "VersionMismatchError", "active_sets",
-    "compare_algorithms", "cross_validate", "easy_spec", "eval_grouped",
-    "eval_grouped_positive_max", "eval_per_candidate", "evaluate_model",
-    "expand", "expand_matrix", "expanded_dimension", "fit_algorithm",
-    "generate", "gradient_per_candidate", "hard_negatives_spec", "huber",
-    "huber_prime", "load_binary", "load_dataset", "load_model", "load_text",
-    "make_group_folds", "minimize", "monomial_exponents", "monomial_names",
-    "roc_auc", "save_binary", "save_model", "save_text", "score_groups",
-    "smoothed_hinge", "smoothed_hinge_prime", "soft_margin", "split_groups",
-    "subgradient_grouped", "train_gcm", "train_mi_svm", "train_per_candidate",
-    "train_svm_baseline", "write_groups_csv", "write_report_csv",
+    "UnsortedGroupError", "VersionMismatchError", "compare_algorithms",
+    "cross_validate", "easy_spec", "eval_grouped", "eval_per_candidate",
+    "evaluate_model", "expand", "expand_matrix", "expanded_dimension",
+    "fit_algorithm", "generate", "gradient_per_candidate",
+    "hard_negatives_spec", "huber", "huber_prime", "load_binary",
+    "load_dataset", "load_model", "load_text", "make_group_folds", "minimize",
+    "monomial_exponents", "monomial_names", "roc_auc", "save_binary",
+    "save_model", "save_text", "score_groups", "smoothed_hinge",
+    "smoothed_hinge_prime", "split_groups", "subgradient_grouped",
+    "train_gcm", "train_mi_svm", "train_per_candidate", "train_svm_baseline",
+    "write_groups_csv", "write_report_csv",
 ]

@@ -43,17 +43,17 @@ from .evaluation import (
     compare_algorithms,
     cross_validate,
     evaluate_model,
+    fit_algorithm,
     score_groups,
     split_groups,
+    training_hyperparams,
     write_groups_csv,
     write_report_csv,
 )
 from .expansion import AffineScaler, ExpansionSpec, expand
 from .generator import GeneratorSpec, PRESETS, generate
-from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Hyperparams
+from .model import DEFAULT_DELTA, DEFAULT_EPSILON
 from .solver import SolverConfig
-from .baselines import MiSvmConfig, train_mi_svm
-from .train import train_gcm, train_per_candidate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -212,7 +212,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     data = load_dataset(args.data)
     solver_cfg = _solver_config(args)
-    hp = Hyperparams(args.lam, args.epsilon, args.delta)
+    algo = Algorithm(args.algo)
 
     expansion = None
     input_d = data.d
@@ -224,31 +224,9 @@ def cmd_train(args) -> int:
         scaler = AffineScaler.fit(data)
         data = scaler.transform(data)
 
-    extra: dict = {}
-    if args.algo == "misvm":
-        c = args.misvm_c
-        if c is None:
-            if not 0.0 < args.lam < 1.0:
-                raise ConfigurationError(
-                    "misvm needs lambda in (0, 1) to derive C, or pass --misvm-c"
-                )
-            c = args.lam / (1.0 - args.lam)
-        cfg = MiSvmConfig(c_tradeoff=c, inner_delta=args.misvm_delta,
-                          max_outer_iterations=args.misvm_max_outer,
-                          inner_solver=solver_cfg)
-        model, selector, outer = train_mi_svm(data, cfg)
-        extra = {"outer_iterations": outer, "c_tradeoff": c,
-                 "termination_reason": "SelectorFixedPoint"
-                 if outer < cfg.max_outer_iterations else "MaxOuterIterations"}
-    elif args.algo == "gcm":
-        model, trace = train_gcm(data, hp, solver_cfg)
-        extra = {"iterations": trace.iterations,
-                 "termination_reason": trace.termination_reason.value}
-    else:  # gcm-nogroup and svm share the per-candidate objective
-        model, trace = train_per_candidate(data, hp, solver_cfg)
-        extra = {"iterations": trace.iterations,
-                 "termination_reason": trace.termination_reason.value}
-
+    model, details = fit_algorithm(algo, data, args.lam, args.epsilon,
+                                   args.delta, solver_cfg, args.misvm_max_outer)
+    extra = {k: v for k, v in details.items() if k != "selector"}
     provenance = {
         "algo": args.algo,
         "dataset": str(args.data),
@@ -257,6 +235,7 @@ def cmd_train(args) -> int:
         "standardize": bool(args.standardize),
         **extra,
     }
+    hp = training_hyperparams(algo, args.lam, args.epsilon, args.delta)
     save_model(args.model_out, model, hp, expansion=expansion, input_d=input_d,
                scaler=scaler, provenance=provenance)
     params = {
@@ -265,13 +244,12 @@ def cmd_train(args) -> int:
         "standardize": bool(args.standardize), "solver": solver_cfg.__dict__,
         "data": str(args.data), "model_out": str(args.model_out),
     }
-    if args.algo == "misvm":
-        params.update({"misvm_c": args.misvm_c, "misvm_delta": args.misvm_delta,
-                       "misvm_max_outer": args.misvm_max_outer})
+    if algo is Algorithm.MISVM:
+        params["misvm_max_outer"] = args.misvm_max_outer
     _write_manifest(args.model_out, "train", params, [args.data], started,
                     extra=extra, threads=args.threads)
     print(f"trained {args.algo} model -> {args.model_out} "
-          f"({extra.get('termination_reason')})")
+          f"({extra['termination_reason']})")
     return EXIT_OK
 
 
@@ -410,9 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand-degree", type=int)
     p.add_argument("--standardize", action="store_true",
                    help="fit and apply a per-feature standardizer")
-    p.add_argument("--misvm-c", type=_positive_float,
-                   help="MI-SVM trade-off C; default derives from lambda")
-    p.add_argument("--misvm-delta", type=_nonneg_float, default=0.0)
     p.add_argument("--misvm-max-outer", type=int, default=50)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_train)

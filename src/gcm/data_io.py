@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DataFormatError,
     MalformedRecordError,
     UnsortedGroupError,
     VersionMismatchError,
@@ -29,6 +28,9 @@ from .model import (
     Hyperparams,
     LinearModel,
     _column_major_copy,
+    group_starts,
+    partition_groups,
+    validate_groups,
 )
 
 BINARY_MAGIC = b"GCMB"
@@ -147,15 +149,27 @@ def _read_header(fh, path) -> tuple[int, int]:
     return int(header["d"]), int(header["n_rows"])
 
 
+def _group_ids(records: np.ndarray, path) -> np.ndarray:
+    """The records' u64 group ids as int64; ids of 2**63 and above are refused."""
+    ids = records["group_id"]
+    if len(ids) and ids.max() > np.iinfo(np.int64).max:
+        raise MalformedRecordError("group_id must be below 2**63", str(path))
+    return ids.astype(np.int64)
+
+
 class BinaryDatasetReader:
     """Single-pass streaming access to a binary dataset file.
 
     Iterating yields the same group-aligned blocks as
-    :meth:`Dataset.iter_group_blocks` over the identical data, so objective
-    values computed either way agree bit-for-bit. Each block's features are
-    a column-major copy, as in :class:`Dataset`, and a NaN feature raises
-    :class:`MalformedRecordError` at ``group <id> in <path>``. Memory stays
-    bounded by the block budget plus one group.
+    :meth:`Dataset.iter_group_blocks` over the identical data, cut by the
+    same :func:`~gcm.model.partition_groups`, so objective values computed
+    either way agree bit-for-bit. Each block goes through the same
+    :func:`~gcm.model.validate_groups` as :class:`Dataset`, so a broken group
+    invariant raises the same error type, located at ``group <id> in
+    <path>``. Each block's features are a column-major copy, as in
+    :class:`Dataset`, and a NaN feature raises :class:`MalformedRecordError`
+    at the same location. Memory stays bounded by one read chunk plus two
+    blocks, where a group larger than the block budget counts as a block.
     """
 
     def __init__(self, path, read_chunk_rows: int = DEFAULT_BLOCK_ROWS):
@@ -165,107 +179,74 @@ class BinaryDatasetReader:
             self.d, self.n_rows = _read_header(fh, path)
         self._dtype = _record_dtype(self.d)
 
-    def _iter_groups(self):
-        """Yield one complete group (structured array) at a time."""
+    def iter_group_blocks(self, max_rows: int = DEFAULT_BLOCK_ROWS):
+        """Yield blocks of whole groups, each at most ``max_rows`` rows.
+
+        Each read chunk is appended to the rows not yet yielded, and those
+        rows are cut into blocks. The last block holds the last group, which
+        the next chunk may continue, so it is held back until end of file.
+        Held-back rows are copied once per read, so a ``read_chunk_rows``
+        far below ``max_rows`` copies each row many times.
+        """
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER_DTYPE.itemsize)
             tail = np.empty(0, dtype=self._dtype)
-            seen = 0
-            last_emitted_gid = -1
-            while True:
-                chunk = np.fromfile(fh, dtype=self._dtype,
-                                    count=self.read_chunk_rows)
-                seen += len(chunk)
-                eof = len(chunk) < self.read_chunk_rows
-                buf = np.concatenate([tail, chunk]) if len(tail) else chunk
+            seen = row_offset = 0
+            eof = False
+            while not eof:
+                buf = np.empty(len(tail) + self.read_chunk_rows,
+                               dtype=self._dtype)
+                buf[:len(tail)] = tail
+                # a partial record at a truncated end is dropped here and
+                # caught by the row count check
+                got = fh.readinto(buf[len(tail):].view(np.uint8))
+                got //= self._dtype.itemsize
+                seen += got
+                eof = got < self.read_chunk_rows
+                buf = buf[:len(tail) + got]
                 if len(buf) == 0:
                     break
-                gids = buf["group_id"].astype(np.int64)
-                if np.any(np.diff(gids) < 0) or gids[0] < last_emitted_gid:
+                gids = _group_ids(buf, self.path)
+                if np.any(np.diff(gids) < 0):
                     raise UnsortedGroupError(
                         "rows are not sorted by group id", str(self.path)
                     )
-                # Groups are complete up to the start of the final run unless
-                # the file ended.
-                boundaries = np.flatnonzero(np.diff(gids)) + 1
-                cut = len(buf) if eof else (boundaries[-1] if len(boundaries) else 0)
-                lo = 0
-                for hi in [*list(boundaries[boundaries <= cut]), cut]:
-                    if hi > lo:
-                        last_emitted_gid = int(gids[lo])
-                        yield self._validated(buf[lo:hi])
-                    lo = hi
-                tail = buf[cut:]
-                if eof:
-                    if len(tail):
-                        yield self._validated(tail)
-                    break
+                starts = group_starts(gids)
+                cuts = partition_groups(starts, max_rows)
+                if not eof:
+                    cuts = cuts[:-1]
+                for k, j in zip(cuts[:-1], cuts[1:]):
+                    lo, hi = starts[k], starts[j]
+                    rows = buf[lo:hi]
+                    labels = rows["label"].astype(np.int8)
+                    is_key = rows["is_key"].astype(bool)
+                    block_ids = gids[lo:hi]
+                    block_starts = starts[k:j + 1] - lo
+                    validate_groups(labels, is_key, block_ids, block_starts,
+                                    self.path)
+                    yield GroupBlock(
+                        X=_column_major_copy(rows["features"], block_ids,
+                                             self.path),
+                        labels=labels,
+                        is_key=is_key,
+                        group_ids=block_ids,
+                        starts=block_starts,
+                        row_offset=row_offset,
+                    )
+                    row_offset += int(hi - lo)
+                tail = buf[starts[cuts[-1]]:]
             if seen != self.n_rows:
                 raise MalformedRecordError(
                     f"header promises {self.n_rows} rows, file holds {seen}",
                     str(self.path),
                 )
 
-    def _validated(self, group: np.ndarray) -> np.ndarray:
-        gid = int(group["group_id"][0])
-        labels = group["label"]
-        if np.any(np.abs(labels) != 1):
-            raise MalformedRecordError(
-                "label must be +1 or -1", f"group {gid} in {self.path}"
-            )
-        if np.any(labels != labels[0]):
-            raise DataFormatError(
-                "group mixes positive and negative rows",
-                f"group {gid} in {self.path}",
-            )
-        n_keys = int(np.count_nonzero(group["is_key"]))
-        if labels[0] == 1 and n_keys != 1:
-            raise DataFormatError(
-                f"positive group must have exactly one key, found {n_keys}",
-                f"group {gid} in {self.path}",
-            )
-        if labels[0] == -1 and n_keys:
-            raise MalformedRecordError(
-                "is_key is only valid on positive rows",
-                f"group {gid} in {self.path}",
-            )
-        return group
-
-    def iter_group_blocks(self, max_rows: int = DEFAULT_BLOCK_ROWS):
-        """Yield blocks of whole groups, each at most ``max_rows`` rows."""
-        pending: list[np.ndarray] = []
-        pending_rows = 0
-        row_offset = 0
-        for group in self._iter_groups():
-            if pending and pending_rows + len(group) > max_rows:
-                yield self._as_block(pending, row_offset)
-                row_offset += pending_rows
-                pending, pending_rows = [], 0
-            pending.append(group)
-            pending_rows += len(group)
-        if pending:
-            yield self._as_block(pending, row_offset)
-
-    def _as_block(self, groups: list[np.ndarray], row_offset: int) -> GroupBlock:
-        rows = np.concatenate(groups) if len(groups) > 1 else groups[0]
-        sizes = np.array([len(g) for g in groups], dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        group_ids = rows["group_id"].astype(np.int64)
-        return GroupBlock(
-            X=_column_major_copy(rows["features"], group_ids, self.path),
-            labels=rows["label"].astype(np.int8),
-            is_key=rows["is_key"].astype(bool),
-            group_ids=group_ids,
-            starts=starts,
-            row_offset=row_offset,
-        )
-
 
 def load_binary(path) -> Dataset:
     """Load a whole binary dataset into memory.
 
-    The features go to :class:`Dataset` as a strided view of the records, so
-    its column-major copy is the only copy of them.
+    The record fields go to :class:`Dataset` as strided views, so its copies
+    are the only copies of them.
     """
     with open(path, "rb") as fh:
         d, n_rows = _read_header(fh, path)
@@ -275,15 +256,11 @@ def load_binary(path) -> Dataset:
                 f"header promises {n_rows} rows, file holds {len(records)}",
                 str(path),
             )
-    gids = records["group_id"].astype(np.int64)
+    gids = _group_ids(records, path)
     if np.any(np.diff(gids) < 0):
         raise UnsortedGroupError("rows are not sorted by group id", str(path))
-    return Dataset(
-        records["features"],
-        records["label"].astype(np.int8),
-        gids,
-        records["is_key"].astype(bool),
-    )
+    return Dataset(records["features"], records["label"], gids,
+                   records["is_key"])
 
 
 def load_dataset(path, fmt: str = "auto") -> Dataset:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import MiSvmConfig, train_mi_svm
+from .baselines import MISVM_INNER_EPSILON, MiSvmConfig, train_mi_svm
 from .errors import ConfigurationError, DomainError
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Dataset, Hyperparams, LinearModel
 from .objectives import _group_argmax
@@ -161,35 +161,53 @@ def write_groups_csv(groups: list[ScoredGroup], path):
         fh.write("\n".join(lines) + "\n")
 
 
+def training_hyperparams(algo: Algorithm, lam: float,
+                         epsilon: float = DEFAULT_EPSILON,
+                         delta: float = DEFAULT_DELTA) -> Hyperparams:
+    """The hyperparameters that :func:`fit_algorithm` trains ``algo`` with.
+
+    The SVM baseline and MI-SVM use the exact hinge (delta = 0), and MI-SVM
+    its fixed inner Huber width; the others take the arguments as given.
+    """
+    if algo is Algorithm.SVM:
+        return Hyperparams(lam, epsilon, 0.0)
+    if algo is Algorithm.MISVM:
+        return Hyperparams(lam, MISVM_INNER_EPSILON, 0.0)
+    return Hyperparams(lam, epsilon, delta)
+
+
 def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
                   epsilon: float = DEFAULT_EPSILON, delta: float = DEFAULT_DELTA,
                   solver_cfg: SolverConfig | None = None,
                   misvm_max_outer: int = 50) -> tuple[LinearModel, dict]:
     """Train one algorithm and return (model, run details).
 
-    The SVM baseline runs with the exact hinge (delta = 0); MI-SVM maps the
-    shared trade-off to its constant via ``C = lam / (1 - lam)`` and also
-    uses the exact hinge inside.
+    Hyperparameters are those of :func:`training_hyperparams`. MI-SVM maps
+    the shared trade-off to its constant via ``C = lam / (1 - lam)``; its
+    details hold the outer iteration count, the selected row per positive
+    group and whether the selector reached a fixed point.
     """
+    hp = training_hyperparams(algo, lam, epsilon, delta)
     if algo is Algorithm.GCM:
-        model, trace = train_gcm(data, Hyperparams(lam, epsilon, delta), solver_cfg)
-    elif algo is Algorithm.GCM_NOGROUP:
-        model, trace = train_per_candidate(
-            data, Hyperparams(lam, epsilon, delta), solver_cfg)
-    elif algo is Algorithm.SVM:
-        model, trace = train_per_candidate(
-            data, Hyperparams(lam, epsilon, 0.0), solver_cfg)
+        model, trace = train_gcm(data, hp, solver_cfg)
+    elif algo in (Algorithm.GCM_NOGROUP, Algorithm.SVM):
+        model, trace = train_per_candidate(data, hp, solver_cfg)
     elif algo is Algorithm.MISVM:
         if not 0.0 < lam < 1.0:
             raise ConfigurationError("MI-SVM needs lam in (0, 1) to derive C")
         cfg = MiSvmConfig(
             c_tradeoff=lam / (1.0 - lam),
+            inner_delta=hp.delta,
             max_outer_iterations=misvm_max_outer,
             inner_solver=solver_cfg or SolverConfig(),
         )
         model, selector, outer = train_mi_svm(data, cfg)
-        return model, {"outer_iterations": outer,
-                       "selector": selector.selected_row_per_positive_group}
+        return model, {
+            "outer_iterations": outer,
+            "termination_reason": "SelectorFixedPoint"
+            if outer < cfg.max_outer_iterations else "MaxOuterIterations",
+            "selector": selector.selected_row_per_positive_group,
+        }
     else:  # pragma: no cover - exhaustive enum
         raise ConfigurationError(f"unknown algorithm {algo}")
     return model, {

@@ -1,18 +1,20 @@
-"""Core domain types: candidates, grouped datasets, linear models, hyperparameters.
+"""Core domain types: grouped datasets, linear models, hyperparameters.
 
 These types carry no algorithms. A :class:`Dataset` canonicalizes its rows so
 that every group occupies one contiguous block (stable sort by group id, input
-order preserved inside each group), stores its features column-major, and
-validates the structural invariants that the grouped objectives rely on:
-homogeneous labels per group and exactly one key candidate per positive group.
-All types are immutable after construction.
+order preserved inside each group) and stores its features column-major. This
+module also owns the two rules that every source of group-aligned blocks
+shares, in memory or streamed: :func:`validate_groups` checks the structural
+invariants that the grouped objectives rely on (labels of +1 or -1,
+homogeneous labels per group, exactly one key candidate per positive group),
+and :func:`partition_groups` cuts groups into blocks. All types are immutable
+after construction.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,13 +41,6 @@ DEFAULT_EPSILON = 1.0
 DEFAULT_DELTA = 0.5
 
 
-class Aggregation(enum.Enum):
-    """How per-row losses are combined into the training objective."""
-
-    PER_CANDIDATE = "per-candidate"
-    GROUPED = "grouped"
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     """Shared objective hyperparameters.
@@ -66,21 +61,6 @@ class Hyperparams:
             raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
         if self.delta < 0.0:
             raise DomainError(f"delta must be >= 0, got {self.delta}")
-
-
-@dataclass(frozen=True, eq=False)
-class Candidate:
-    """One feature row: group membership, label, key flag, features."""
-
-    group_id: int
-    label: int
-    is_key: bool
-    features: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "features", np.asarray(self.features, dtype=np.float64)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +93,6 @@ class LinearModel:
         return X @ self.w + self.b
 
 
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Which aggregation to train with, plus the shared hyperparameters."""
-
-    hyperparams: Hyperparams
-    aggregation: Aggregation = Aggregation.GROUPED
-
-
 class GroupBlock(NamedTuple):
     """A run of whole groups, as contiguous arrays.
 
@@ -137,20 +109,10 @@ class GroupBlock(NamedTuple):
     row_offset: int
 
 
-def soft_margin(model: LinearModel, candidate: Candidate) -> float:
-    """Return ``y * (w @ x + b)`` for a single candidate."""
-    x = candidate.features
-    if x.shape != (model.d,):
-        raise DimensionMismatchError(model.d, x.shape[0], "soft_margin")
-    return float(candidate.label) * (float(model.w @ x) + model.b)
-
-
-def _as_array(values, dtype, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    try:
-        return arr.astype(dtype, casting="safe" if dtype == np.int64 else "unsafe")
-    except TypeError as exc:
-        raise MalformedRecordError(f"{name} cannot be converted to {dtype}") from exc
+def _group_location(group_id, path) -> str:
+    """``group <id>``, plus `` in <path>`` when a path is given."""
+    where = f"group {int(group_id)}"
+    return where if path is None else f"{where} in {path}"
 
 
 def _column_major_copy(X, group_ids: np.ndarray, path=None,
@@ -173,11 +135,77 @@ def _column_major_copy(X, group_ids: np.ndarray, path=None,
         # a column's minimum is NaN exactly when the column holds a NaN
         if np.isnan(chunk.min(axis=0)).any():
             row = lo + np.flatnonzero(np.isnan(chunk).any(axis=1))[0]
-            where = f"group {int(group_ids[row])}"
-            if path is not None:
-                where += f" in {path}"
-            raise MalformedRecordError("features must not be NaN", where)
+            raise MalformedRecordError("features must not be NaN",
+                                       _group_location(group_ids[row], path))
     return out
+
+
+def group_starts(group_ids: np.ndarray) -> np.ndarray:
+    """Offsets of each run of equal ids in sorted ``group_ids``, plus a sentinel."""
+    boundaries = np.flatnonzero(np.diff(group_ids)) + 1
+    return np.concatenate(([0], boundaries, [len(group_ids)])).astype(np.int64)
+
+
+def validate_groups(labels, is_key, group_ids, starts, path=None):
+    """Check the invariants of rows that are already grouped at ``starts``.
+
+    ``starts`` holds the first row of each group plus a trailing sentinel, as
+    in :class:`GroupBlock`; ``is_key`` is boolean. Labels are checked as
+    given, so pass them before any narrowing cast. Raises, for the first
+    failing check:
+
+    * :class:`MalformedRecordError` for a label other than +1 or -1;
+    * :class:`MixedLabelGroupError` for a group with both labels;
+    * :class:`MalformedRecordError` for a key flag in a negative group;
+    * :class:`MissingKeyError` or :class:`MultipleKeysError` for a positive
+      group without exactly one key.
+
+    The error is located at ``group <id>``, with `` in <path>`` appended when
+    ``path`` is given.
+    """
+    def fail(error, message, row):
+        raise error(message, _group_location(group_ids[row], path))
+
+    bad = np.flatnonzero(np.abs(labels) != 1)
+    if bad.size:
+        fail(MalformedRecordError,
+             f"label must be +1 or -1, got {labels[bad[0]]}", bad[0])
+    group_labels = labels[starts[:-1]]
+    bad = np.flatnonzero(labels != np.repeat(group_labels, np.diff(starts)))
+    if bad.size:
+        fail(MixedLabelGroupError, "group mixes positive and negative rows", bad[0])
+    key_counts = np.diff(np.searchsorted(np.flatnonzero(is_key), starts))
+    pos = group_labels == 1
+    for error, message, bad in (
+        (MalformedRecordError, "is_key is only valid on positive rows",
+         ~pos & (key_counts > 0)),
+        (MissingKeyError, "positive group has no key candidate",
+         pos & (key_counts == 0)),
+        (MultipleKeysError, "positive group has more than one key candidate",
+         pos & (key_counts > 1)),
+    ):
+        if bad.any():
+            fail(error, message, starts[np.argmax(bad)])
+
+
+def partition_groups(starts: np.ndarray, max_rows: int) -> list[int]:
+    """Cut the groups at ``starts`` into blocks of at most ``max_rows`` rows.
+
+    Returns group indices ``cuts`` from 0 to the group count: block ``i``
+    holds groups ``cuts[i]`` to ``cuts[i + 1] - 1``. Each block takes as many
+    whole groups as fit, and a group larger than ``max_rows`` goes alone. A
+    cut depends only on the sizes of the groups up to the first one that does
+    not fit, so a reader that sees the groups a chunk at a time can emit
+    every block but the last and cut the rest again later, with the same
+    result.
+    """
+    n_groups = len(starts) - 1
+    cuts = [0]
+    while cuts[-1] < n_groups:
+        k = cuts[-1]
+        fits = int(np.searchsorted(starts, starts[k] + max_rows, side="right")) - 1
+        cuts.append(max(fits, k + 1))
+    return cuts
 
 
 class Dataset:
@@ -191,14 +219,24 @@ class Dataset:
     so each feature of a block of rows is one contiguous run, which is the
     order the grouped score kernel reads it in. Features must not be NaN;
     infinite values are accepted.
+
+    After sorting, the rows go through :func:`validate_groups`, the same
+    check that :class:`~gcm.data_io.BinaryDatasetReader` runs on each block,
+    so a broken group invariant raises the same error type in memory and
+    streamed. Labels are checked before they are narrowed to ``int8``.
     """
 
     def __init__(self, features, labels, group_ids, is_key):
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
             raise MalformedRecordError(f"features must be 2-D, got shape {X.shape}")
-        labels = _as_array(labels, np.int8, "labels")
-        group_ids = _as_array(group_ids, np.int64, "group_ids")
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iuf":
+            raise MalformedRecordError(f"labels must be numbers, got {labels.dtype}")
+        try:
+            group_ids = np.asarray(group_ids).astype(np.int64, casting="safe")
+        except TypeError as exc:
+            raise MalformedRecordError("group_ids cannot be converted to int64") from exc
         is_key = np.asarray(is_key).astype(bool)
         n = X.shape[0]
         if n == 0:
@@ -207,21 +245,10 @@ class Dataset:
             raise MalformedRecordError(
                 "features, labels, group_ids and is_key must have one entry per row"
             )
-
-        bad = np.flatnonzero(np.abs(labels) != 1)
-        if bad.size:
-            raise MalformedRecordError(
-                f"label must be +1 or -1, got {labels[bad[0]]}", f"row {bad[0]}"
-            )
         bad = np.flatnonzero(group_ids < 0)
         if bad.size:
             raise MalformedRecordError(
                 f"group_id must be >= 0, got {group_ids[bad[0]]}", f"row {bad[0]}"
-            )
-        bad = np.flatnonzero(is_key & (labels != 1))
-        if bad.size:
-            raise MalformedRecordError(
-                "is_key is only valid on positive rows", f"row {bad[0]}"
             )
 
         order = None
@@ -230,44 +257,18 @@ class Dataset:
             labels = labels[order]
             group_ids = group_ids[order]
             is_key = is_key[order]
+        starts = group_starts(group_ids)
+        validate_groups(labels, is_key, group_ids, starts)
 
         self.X = _column_major_copy(X, group_ids, order=order)
-        self.labels = labels
+        self.labels = labels.astype(np.int8)
         self.group_ids = group_ids
         self.is_key = is_key
-        for arr in (self.X, self.labels, self.group_ids, self.is_key):
+        self.group_starts = starts
+        self.group_labels = self.labels[starts[:-1]]
+        for arr in (self.X, self.labels, self.group_ids, self.is_key,
+                    self.group_labels):
             arr.flags.writeable = False
-
-        boundaries = np.flatnonzero(np.diff(group_ids)) + 1 if n else np.empty(0, int)
-        self.group_starts = np.concatenate(([0], boundaries, [n])).astype(np.int64)
-        self._validate_groups()
-
-    def _validate_groups(self):
-        starts = self.group_starts
-        same_group = np.diff(self.group_ids) == 0
-        label_change = np.diff(self.labels) != 0
-        bad = np.flatnonzero(same_group & label_change)
-        if bad.size:
-            gid = int(self.group_ids[bad[0]])
-            raise MixedLabelGroupError(
-                "group mixes positive and negative rows", f"group {gid}"
-            )
-        group_labels = self.labels[starts[:-1]]
-        key_counts = np.add.reduceat(self.is_key.astype(np.int64), starts[:-1])
-        pos = group_labels == 1
-        bad = np.flatnonzero(pos & (key_counts == 0))
-        if bad.size:
-            gid = int(self.group_ids[starts[bad[0]]])
-            raise MissingKeyError("positive group has no key candidate", f"group {gid}")
-        bad = np.flatnonzero(pos & (key_counts > 1))
-        if bad.size:
-            gid = int(self.group_ids[starts[bad[0]]])
-            raise MultipleKeysError(
-                f"positive group has {int(key_counts[bad[0]])} key candidates",
-                f"group {gid}",
-            )
-        self.group_labels = group_labels.copy()
-        self.group_labels.flags.writeable = False
 
     # -- shape ---------------------------------------------------------------
 
@@ -311,30 +312,6 @@ class Dataset:
             )
         return out
 
-    # -- access --------------------------------------------------------------
-
-    def candidate(self, row: int) -> Candidate:
-        return Candidate(
-            group_id=int(self.group_ids[row]),
-            label=int(self.labels[row]),
-            is_key=bool(self.is_key[row]),
-            features=self.X[row],
-        )
-
-    def candidates(self) -> Iterator[Candidate]:
-        return (self.candidate(i) for i in range(self.n_rows))
-
-    @classmethod
-    def from_candidates(cls, candidates: Sequence[Candidate]) -> "Dataset":
-        if not candidates:
-            raise MalformedRecordError("dataset must contain at least one row")
-        return cls(
-            features=np.stack([c.features for c in candidates]),
-            labels=[c.label for c in candidates],
-            group_ids=[c.group_id for c in candidates],
-            is_key=[c.is_key for c in candidates],
-        )
-
     def subset_groups(self, keep_ids) -> "Dataset":
         """Return a new dataset with only the given group ids."""
         keep = np.isin(self.group_ids, np.asarray(list(keep_ids), dtype=np.int64))
@@ -348,19 +325,13 @@ class Dataset:
     def iter_group_blocks(self, max_rows: int = DEFAULT_BLOCK_ROWS) -> Iterator[GroupBlock]:
         """Yield runs of whole groups, each at most ``max_rows`` rows.
 
-        A group larger than ``max_rows`` is yielded alone. The partition
-        depends only on the group sizes, so a streaming reader over the same
-        data produces identical blocks.
+        The blocks are those of :func:`partition_groups`, so a streaming
+        reader over the same data produces identical blocks.
         """
         starts = self.group_starts
-        n_groups = self.n_groups
-        k = 0
-        while k < n_groups:
-            lo = starts[k]
-            j = k + 1
-            while j < n_groups and starts[j + 1] - lo <= max_rows:
-                j += 1
-            hi = starts[j]
+        cuts = partition_groups(starts, max_rows)
+        for k, j in zip(cuts[:-1], cuts[1:]):
+            lo, hi = starts[k], starts[j]
             yield GroupBlock(
                 X=self.X[lo:hi],
                 labels=self.labels[lo:hi],
@@ -369,4 +340,3 @@ class Dataset:
                 starts=starts[k:j + 1] - lo,
                 row_offset=int(lo),
             )
-            k = j

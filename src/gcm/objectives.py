@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .model import Aggregation, Dataset, Hyperparams, LinearModel, ObjectiveSpec
+from .model import Dataset, Hyperparams, LinearModel
 from .penalties import huber, huber_prime, smoothed_hinge, smoothed_hinge_prime
 
 
@@ -55,20 +55,6 @@ class GradientVector:
 
     grad_w: np.ndarray
     grad_b: float
-
-
-@dataclass(frozen=True, eq=False)
-class ActiveSets:
-    """Row indices in the linear-loss and quadratic-loss margin regions.
-
-    ``linear_set`` holds rows with margin below ``1 - 2 delta``;
-    ``quadratic_set`` holds rows with margin in ``[1 - 2 delta, 1)``. Under
-    grouped aggregation only key candidates and each negative group's
-    maximal-loss candidate are eligible.
-    """
-
-    linear_set: np.ndarray
-    quadratic_set: np.ndarray
 
 
 class _ChunkedSum:
@@ -211,33 +197,6 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams) -> ObjectiveValue:
     return ObjectiveValue(reg + pos + neg, reg, pos, neg)
 
 
-def eval_grouped_positive_max(model: LinearModel, data,
-                              hp: Hyperparams) -> ObjectiveValue:
-    """Grouped objective variant that also maxes over positive groups.
-
-    Evaluation-only: training always uses the key-candidate positive term of
-    :func:`eval_grouped`.
-    """
-    _check_dims(model, data.d)
-    reg = _regularization(model, hp)
-    if hp.lam == 0.0:
-        return ObjectiveValue(reg, reg, 0.0, 0.0)
-    pos_acc, neg_acc = _ChunkedSum(), _ChunkedSum()
-    n_pos = n_neg = 0
-    for block in data.iter_group_blocks():
-        scores = _fixed_order_scores(block.X, model.w, model.b)
-        losses = smoothed_hinge(block.labels * scores, hp.delta)
-        glabels = block.labels[block.starts[:-1]]
-        gmax = np.maximum.reduceat(losses, block.starts[:-1])
-        pos_acc.add(gmax[glabels == 1])
-        neg_acc.add(gmax[glabels == -1])
-        n_pos += int(np.count_nonzero(glabels == 1))
-        n_neg += len(glabels) - int(np.count_nonzero(glabels == 1))
-    pos, neg = _class_terms(hp.lam, pos_acc.total(), n_pos, neg_acc.total(),
-                            n_neg, "group")
-    return ObjectiveValue(reg + pos + neg, reg, pos, neg)
-
-
 def gradient_per_candidate(model: LinearModel, data: Dataset,
                            hp: Hyperparams) -> GradientVector:
     """Gradient of :func:`eval_per_candidate`.
@@ -304,23 +263,3 @@ def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVe
     grad_w = grad_w + hp.lam / n_pos * pos_w + hp.lam / n_neg * neg_w
     grad_b = hp.lam / n_pos * pos_b + hp.lam / n_neg * neg_b
     return GradientVector(grad_w, grad_b)
-
-
-def active_sets(model: LinearModel, data: Dataset, hp: Hyperparams,
-                spec: ObjectiveSpec) -> ActiveSets:
-    """Classify rows by margin region under the given aggregation."""
-    _check_dims(model, data.d)
-    margins = data.labels * model.raw_scores(data.X)
-    if spec.aggregation is Aggregation.PER_CANDIDATE:
-        eligible = np.arange(data.n_rows)
-    else:
-        losses = smoothed_hinge(margins, hp.delta)
-        amax = _group_argmax(losses, data.group_starts)
-        eligible = np.sort(np.concatenate(
-            [np.flatnonzero(data.is_key), amax[data.group_labels == -1]]
-        ))
-    t = margins[eligible]
-    lo = 1.0 - 2.0 * hp.delta
-    linear = eligible[t < lo]
-    quadratic = eligible[(t >= lo) & (t < 1.0)]
-    return ActiveSets(linear_set=linear, quadratic_set=quadratic)

@@ -47,8 +47,7 @@ def naive_per_candidate(w, b, X, labels, lam, eps, delta) -> float:
     return total
 
 
-def naive_grouped(w, b, X, labels, group_ids, is_key, lam, eps, delta,
-                  positive_max: bool = False) -> float:
+def naive_grouped(w, b, X, labels, group_ids, is_key, lam, eps, delta) -> float:
     d = len(w)
     reg = (1.0 - lam) / d * sum(huber_scalar(float(wj), eps) for wj in w)
     groups: dict[int, list[int]] = {}
@@ -61,16 +60,11 @@ def naive_grouped(w, b, X, labels, group_ids, is_key, lam, eps, delta,
             for i in rows
         ]
         if labels[rows[0]] == 1:
-            if positive_max:
-                pos_losses.append(max(losses))
-            else:
-                key_rows = [i for i in rows if is_key[i]]
-                assert len(key_rows) == 1
-                pos_losses.append(
-                    smoothed_hinge_scalar(
-                        float(np.dot(X[key_rows[0]], w)) + b, delta
-                    )
-                )
+            key_rows = [i for i in rows if is_key[i]]
+            assert len(key_rows) == 1
+            pos_losses.append(
+                smoothed_hinge_scalar(float(np.dot(X[key_rows[0]], w)) + b, delta)
+            )
         else:
             neg_losses.append(max(losses))
     total = reg

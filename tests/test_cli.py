@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from gcm import GeneratorSpec, generate, load_model, save_binary, save_text
+from gcm import (
+    Algorithm,
+    GeneratorSpec,
+    fit_algorithm,
+    generate,
+    load_binary,
+    load_model,
+    save_binary,
+    save_text,
+)
 from gcm.cli import main
 from conftest import build_grouped_dataset
 
@@ -68,6 +77,19 @@ class TestTrain:
                    str(model_out), "--algo", "svm", "--lambda", "0.5",
                    "--delta", "0") == 0
         assert load_model(model_out).hyperparams.delta == 0.0
+
+    def test_svm_trains_like_fit_algorithm(self, easy_files, tmp_path):
+        # no --delta: the baseline trains at the exact hinge, as in cv and
+        # compare, and the model file records that delta
+        train_path, _ = easy_files
+        model_out = tmp_path / "svm.model.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "svm", "--lambda", "0.5") == 0
+        saved = load_model(model_out)
+        model, _ = fit_algorithm(Algorithm.SVM, load_binary(train_path), 0.5)
+        assert np.array_equal(saved.model.w, model.w)
+        assert saved.model.b == model.b
+        assert saved.hyperparams.delta == 0.0
 
     def test_lambda_out_of_range_is_usage_error(self, easy_files, tmp_path):
         train_path, _ = easy_files

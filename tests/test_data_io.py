@@ -14,6 +14,8 @@ from gcm import (
     LinearModel,
     MalformedRecordError,
     MissingKeyError,
+    MixedLabelGroupError,
+    MultipleKeysError,
     UnsortedGroupError,
     VersionMismatchError,
     eval_grouped,
@@ -117,6 +119,8 @@ class TestBinaryFormat:
         path.write_bytes(raw[:len(raw) - 17])
         with pytest.raises(MalformedRecordError):
             load_binary(path)
+        with pytest.raises(MalformedRecordError):
+            list(BinaryDatasetReader(path, read_chunk_rows=4).iter_group_blocks())
 
     def test_rejects_unsorted_rows(self, tmp_path):
         d = 2
@@ -140,6 +144,24 @@ class TestBinaryFormat:
             for _ in BinaryDatasetReader(path).iter_group_blocks():
                 pass
 
+    @pytest.mark.parametrize("ids", [[1, 2**63], [2**63, 2**63 + 1]],
+                             ids=["last-id", "all-ids"])
+    @pytest.mark.parametrize("streamed", [False, True],
+                             ids=["load_binary", "reader"])
+    def test_rejects_group_ids_from_2_to_the_63(self, tmp_path, ids, streamed):
+        # an int64 cast would wrap them to negative ids
+        records = np.zeros(2, dtype=_record_dtype(1))
+        records["group_id"] = ids
+        records["label"] = -1
+        path = tmp_path / "big_ids.bin"
+        write_records(path, records)
+        with pytest.raises(MalformedRecordError) as err:
+            if streamed:
+                list(BinaryDatasetReader(path).iter_group_blocks())
+            else:
+                load_binary(path)
+        assert err.value.location == str(path)
+
     def test_auto_format_detection(self, tmp_path, rng):
         ds = build_grouped_dataset(rng, 2, 2, 1, 3, 2)
         bin_path, text_path = tmp_path / "d.bin", tmp_path / "d.csv"
@@ -155,7 +177,7 @@ class TestStreaming:
         path = tmp_path / "s.bin"
         save_binary(ds, path)
         reader = BinaryDatasetReader(path, read_chunk_rows=7)
-        for max_rows in (5, 16, 1000):
+        for max_rows in (1, 5, 16, 1000):
             mem = list(ds.iter_group_blocks(max_rows=max_rows))
             stream = list(reader.iter_group_blocks(max_rows=max_rows))
             assert len(mem) == len(stream)
@@ -256,6 +278,74 @@ class TestNanFeatures:
                            match=f"NaN.*group 2 in {nan_file}"):
             for _ in reader.iter_group_blocks(max_rows=3):
                 pass
+
+
+#: Groups of the fault fixture: (group id, label, key flag per row).
+FAULT_GROUPS = [(10, 1, [1, 0]), (11, -1, [0, 0]), (12, -1, [0, 0, 0]),
+                (13, 1, [0, 1, 0]), (14, -1, [0])]
+
+#: One fault per entry: (error type, its group, row, field, new value).
+FAULTS = {
+    "mixed-label group": (MixedLabelGroupError, 12, 5, "label", 1),
+    "missing key": (MissingKeyError, 13, 8, "is_key", 0),
+    "two keys": (MultipleKeysError, 10, 1, "is_key", 1),
+    "key on a negative row": (MalformedRecordError, 11, 3, "is_key", 1),
+    "label not +1 or -1": (MalformedRecordError, 12, 6, "label", 2),
+    "NaN feature": (MalformedRecordError, 13, 9, "features", np.nan),
+}
+
+
+class TestOneFaultOneError:
+    """Every source raises the same error type, at the same group, for a fault."""
+
+    @staticmethod
+    def faulty_records(fault):
+        _, _, row, field, value = FAULTS[fault]
+        rows = [(gid, label, key) for gid, label, keys in FAULT_GROUPS
+                for key in keys]
+        records = np.zeros(len(rows), dtype=_record_dtype(2))
+        records["group_id"] = [r[0] for r in rows]
+        records["label"] = [r[1] for r in rows]
+        records["is_key"] = [r[2] for r in rows]
+        records["features"] = np.arange(2.0 * len(rows)).reshape(-1, 2)
+        if field == "features":
+            records["features"][row, 1] = value
+        else:
+            records[field][row] = value
+        return records
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_every_source_raises_the_same_error(self, tmp_path, fault):
+        error, gid, row, _, _ = FAULTS[fault]
+        records = self.faulty_records(fault)
+        bin_path, text_path = tmp_path / "fault.bin", tmp_path / "fault.csv"
+        write_records(bin_path, records)
+        lines = ["group_id,label,is_key,f1,f2"] + [
+            f"{r['group_id']},{r['label']:+d},{r['is_key']},"
+            f"{float(r['features'][0])!r},{float(r['features'][1])!r}"
+            for r in records]
+        text_path.write_text("\n".join(lines) + "\n")
+        # the CSV parser checks a label on its own line, before grouping
+        text_at = (f"line {row + 2}" if fault == "label not +1 or -1"
+                   else f"group {gid}")
+        attempts = [
+            (lambda: Dataset(records["features"], records["label"],
+                             records["group_id"].astype(np.int64),
+                             records["is_key"]), f"group {gid}"),
+            (lambda: load_binary(bin_path), f"group {gid}"),
+            (lambda: load_text(text_path), text_at),
+        ]
+        for chunk in (1, 2, 3, 65536):
+            # a small block budget cuts blocks before the end of the file
+            reader = BinaryDatasetReader(bin_path, read_chunk_rows=chunk)
+            attempts.append((lambda reader=reader: list(
+                reader.iter_group_blocks(max_rows=4)),
+                f"group {gid} in {bin_path}"))
+        for attempt, location in attempts:
+            with pytest.raises(DataFormatError) as err:
+                attempt()
+            assert type(err.value) is error
+            assert err.value.location == location
 
 
 class TestGenerator:

@@ -108,7 +108,7 @@ class TestDatasetLayout:
         path = tmp_path / "s.bin"
         save_binary(ds, path)
         reader = BinaryDatasetReader(path, read_chunk_rows=5)
-        for max_rows in (4, 13, 1000):
+        for max_rows in (1, 4, 13, 1000):
             for source in (ds, reader):
                 for block in source.iter_group_blocks(max_rows=max_rows):
                     assert block.X.strides[0] == block.X.itemsize
@@ -274,6 +274,7 @@ def sources(data, tmp_path):
         yield SmallBlocks(data, max_rows)
     for chunk in (2, 5):
         yield BinaryDatasetReader(path, read_chunk_rows=chunk)
+    yield SmallBlocks(BinaryDatasetReader(path, read_chunk_rows=3), 4)
 
 
 class TestGroupMaxKernels:

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from gcm import (
-    Candidate,
     Dataset,
-    DimensionMismatchError,
     DomainError,
     Hyperparams,
     LinearModel,
@@ -12,50 +10,8 @@ from gcm import (
     MissingKeyError,
     MixedLabelGroupError,
     MultipleKeysError,
-    soft_margin,
 )
 from conftest import build_grouped_dataset
-
-
-def cand(x, y=1, gid=0, key=False):
-    return Candidate(group_id=gid, label=y, is_key=key, features=np.asarray(x, float))
-
-
-class TestSoftMargin:
-    def test_zero_model(self):
-        m = LinearModel(w=np.zeros(3), b=0.0)
-        assert soft_margin(m, cand([5.0, -2.0, 7.0])) == 0.0
-
-    def test_hand_example(self):
-        m = LinearModel(w=np.array([1.0, 1.0]), b=-1.0)
-        assert soft_margin(m, cand([2.0, 1.0], y=1)) == 2.0
-
-    def test_label_sign_symmetry(self):
-        m = LinearModel(w=np.array([1.0, 1.0]), b=-1.0)
-        assert soft_margin(m, cand([2.0, 1.0], y=-1)) == -2.0
-
-    def test_dimension_mismatch(self):
-        m = LinearModel(w=np.ones(3), b=0.0)
-        with pytest.raises(DimensionMismatchError):
-            soft_margin(m, cand([1.0, 2.0]))
-
-    def test_linearity_in_model(self, rng):
-        x = rng.normal(size=4)
-        for _ in range(50):
-            w1, w2 = rng.normal(size=4), rng.normal(size=4)
-            b1, b2 = rng.normal(), rng.normal()
-            a, c = rng.normal(), rng.normal()
-            combo = LinearModel(w=a * w1 + c * w2, b=a * b1 + c * b2)
-            lhs = soft_margin(combo, cand(x))
-            rhs = a * soft_margin(LinearModel(w1, b1), cand(x)) + \
-                c * soft_margin(LinearModel(w2, b2), cand(x))
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_negating_label_negates_margin(self, rng):
-        for _ in range(20):
-            m = LinearModel(w=rng.normal(size=3), b=rng.normal())
-            x = rng.normal(size=3)
-            assert soft_margin(m, cand(x, y=1)) == -soft_margin(m, cand(x, y=-1))
 
 
 class TestHyperparams:
@@ -114,6 +70,9 @@ class TestDatasetValidation:
     def test_bad_label_value_rejected(self):
         with pytest.raises(MalformedRecordError):
             Dataset(np.zeros((1, 1)), [2], [0], [False])
+        # checked before the int8 cast, under which 255 would read as -1
+        with pytest.raises(MalformedRecordError, match="got 255"):
+            Dataset(np.zeros((2, 1)), [1, 255], [0, 1], [True, False])
 
     def test_negative_group_id_rejected(self):
         with pytest.raises(MalformedRecordError):
@@ -180,13 +139,6 @@ class TestDatasetStructure:
         sub = ds.subset_groups(keep)
         assert sorted(set(sub.group_ids.tolist())) == keep
         assert sub.n_groups == 2
-
-    def test_from_candidates_round_trip(self, rng):
-        ds = build_grouped_dataset(rng, 2, 2, 1, 3, 2)
-        again = Dataset.from_candidates(list(ds.candidates()))
-        assert np.array_equal(again.X, ds.X)
-        assert np.array_equal(again.labels, ds.labels)
-        assert np.array_equal(again.is_key, ds.is_key)
 
 
 class TestGroupBlocks:

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from gcm import (
-    Aggregation,
     ConfigurationError,
     Dataset,
     DimensionMismatchError,
     Hyperparams,
     LinearModel,
-    ObjectiveSpec,
-    active_sets,
     eval_grouped,
-    eval_grouped_positive_max,
     eval_per_candidate,
     gradient_per_candidate,
     smoothed_hinge,
@@ -167,17 +163,6 @@ class TestEvalGrouped:
             mean_term /= ds.n_neg_groups
             assert val.negative_loss_term >= mean_term - 1e-12
 
-    def test_positive_max_variant(self, rng):
-        ds = build_grouped_dataset(rng, 3, 3, 2, 4, 2)
-        model = LinearModel(rng.normal(size=2), 0.0)
-        hp = Hyperparams(lam=0.8)
-        expected = naive_grouped(model.w, model.b, ds.X, ds.labels,
-                                 ds.group_ids, ds.is_key, hp.lam, hp.epsilon,
-                                 hp.delta, positive_max=True)
-        got = eval_grouped_positive_max(model, ds, hp)
-        assert got.total == pytest.approx(expected, rel=1e-12)
-        assert got.positive_loss_term >= eval_grouped(model, ds, hp).positive_loss_term - 1e-12
-
 
 class TestGradientPerCandidate:
     def test_hand_example_exact_hinge(self):
@@ -277,16 +262,6 @@ class TestSubgradientGrouped:
                 u = rng.normal(size=5)
                 assert f(point + s * u) >= f(point) + s * float(gvec @ u) - 1e-8
 
-    def test_active_negative_rows_bounded_by_group_count(self, rng):
-        ds = build_grouped_dataset(rng, 3, 6, 2, 5, 3)
-        hp = Hyperparams(lam=0.5)
-        model = LinearModel(rng.normal(size=3), 0.0)
-        sets = active_sets(model, ds, hp,
-                           ObjectiveSpec(hp, Aggregation.GROUPED))
-        active = np.concatenate([sets.linear_set, sets.quadratic_set])
-        neg_active = active[ds.labels[active] == -1]
-        assert len(neg_active) <= ds.n_neg_groups
-
 
 class TestObjectiveConvexity:
     @pytest.mark.parametrize("grouped", [False, True])
@@ -300,52 +275,3 @@ class TestObjectiveConvexity:
             a = float(rng.uniform())
             mid = a * p1 + (1 - a) * p2
             assert f(mid) <= a * f(p1) + (1 - a) * f(p2) + 1e-9
-
-
-class TestActiveSets:
-    def test_region_boundaries(self):
-        # margins 1.2, 0.5, -1 across three singleton groups at delta = 0.5
-        X = np.array([[1.2], [0.5], [-1.0]])
-        ds = singleton_dataset(X, [1, 1, 1])
-        hp = Hyperparams(lam=1.0, delta=0.5)
-        spec = ObjectiveSpec(hp, Aggregation.PER_CANDIDATE)
-        sets = active_sets(LinearModel(np.array([1.0]), 0.0), ds, hp, spec)
-        assert list(sets.linear_set) == [2]
-        assert list(sets.quadratic_set) == [1]
-
-    def test_all_margins_satisfied_empty_sets(self):
-        X = np.array([[1.5], [2.0]])
-        ds = singleton_dataset(X, [1, 1])
-        hp = Hyperparams(lam=1.0, delta=0.5)
-        for agg in Aggregation:
-            sets = active_sets(LinearModel(np.array([1.0]), 0.0), ds, hp,
-                               ObjectiveSpec(hp, agg))
-            assert len(sets.linear_set) == 0 and len(sets.quadratic_set) == 0
-
-    def test_tied_group_max_selects_lowest_row(self):
-        # two identical rows in one negative group tie on loss
-        X = np.array([[1.0], [1.0], [0.5]])
-        ds = Dataset(X, [-1, -1, 1], [0, 0, 1], [False, False, True])
-        hp = Hyperparams(lam=1.0, delta=0.5)
-        sets = active_sets(LinearModel(np.array([1.0]), 0.0), ds, hp,
-                           ObjectiveSpec(hp, Aggregation.GROUPED))
-        negatives = [i for i in np.concatenate([sets.linear_set, sets.quadratic_set])
-                     if ds.labels[i] == -1]
-        assert negatives == [0]
-
-    def test_disjoint(self, rng):
-        ds = build_grouped_dataset(rng, 3, 3, 2, 4, 3)
-        hp = Hyperparams(lam=0.5, delta=0.5)
-        model = LinearModel(rng.normal(size=3), 0.0)
-        for agg in Aggregation:
-            sets = active_sets(model, ds, hp, ObjectiveSpec(hp, agg))
-            overlap = set(sets.linear_set.tolist()) & set(sets.quadratic_set.tolist())
-            assert not overlap
-
-    def test_delta_zero_quadratic_region_empty(self, rng):
-        ds = build_grouped_dataset(rng, 2, 2, 1, 3, 2)
-        hp = Hyperparams(lam=0.5, delta=0.0)
-        model = LinearModel(rng.normal(size=2), 0.0)
-        sets = active_sets(model, ds, hp,
-                           ObjectiveSpec(hp, Aggregation.PER_CANDIDATE))
-        assert len(sets.quadratic_set) == 0
