@@ -14,7 +14,6 @@ import numpy as np
 
 from gcm import (
     Hyperparams,
-    MiSvmConfig,
     SolverConfig,
     evaluate_model,
     generate,
@@ -22,8 +21,8 @@ from gcm import (
     train_gcm,
     train_mi_svm,
     train_per_candidate,
-    train_svm_baseline,
 )
+from gcm.baselines import MISVM_INNER_EPSILON
 
 
 def main():
@@ -42,10 +41,11 @@ def main():
     models = {}
     models["grouped"], _ = train_gcm(train, hp, solver)
     models["per-candidate"], _ = train_per_candidate(train, hp, solver)
-    models["svm (exact hinge)"] = train_svm_baseline(
+    models["svm (exact hinge)"], _ = train_per_candidate(
         train, Hyperparams(lam=0.5, delta=0.0), solver)
-    models["mi-svm"], _, outer = train_mi_svm(
-        train, MiSvmConfig(c_tradeoff=1.0, inner_solver=solver))
+    models["mi-svm"], _, outer, _ = train_mi_svm(
+        train, Hyperparams(lam=0.5, epsilon=MISVM_INNER_EPSILON, delta=0.0),
+        solver)
     print(f"mi-svm selector fixed point after {outer} outer iterations\n")
 
     print(f"{'algorithm':<20} {'cand AUC':>9} {'group AUC':>10}   "

@@ -11,7 +11,7 @@ cross-validation, streaming dataset formats and a synthetic generator round
 out the toolkit.
 """
 
-from .baselines import MiSvmConfig, SelectorState, train_mi_svm, train_svm_baseline
+from .baselines import train_mi_svm
 from .data_io import (
     BinaryDatasetReader,
     SavedModel,
@@ -93,10 +93,10 @@ __all__ = [
     "DataFormatError", "Dataset", "DimensionMismatchError", "DomainError",
     "EvalReport", "ExpansionSpec", "GcmError", "GeneratorSpec",
     "GradientVector", "GroupBlock", "Hyperparams", "LambdaCvResult",
-    "LinearModel", "MalformedRecordError", "MiSvmConfig", "MissingKeyError",
+    "LinearModel", "MalformedRecordError", "MissingKeyError",
     "MixedLabelGroupError", "MultipleKeysError", "NumericalError",
     "ObjectiveValue", "PRESETS", "SavedModel", "ScoredGroup",
-    "SelectorState", "SolveTrace", "SolverConfig", "Termination",
+    "SolveTrace", "SolverConfig", "Termination",
     "UnsortedGroupError", "VersionMismatchError", "compare_algorithms",
     "cross_validate", "easy_spec", "eval_grouped", "eval_per_candidate",
     "evaluate_model", "expand", "expand_matrix", "expanded_dimension",
@@ -106,6 +106,6 @@ __all__ = [
     "monomial_exponents", "monomial_names", "roc_auc", "save_binary",
     "save_model", "save_text", "score_groups", "smoothed_hinge",
     "smoothed_hinge_prime", "split_groups", "subgradient_grouped",
-    "train_gcm", "train_mi_svm", "train_per_candidate", "train_svm_baseline",
+    "train_gcm", "train_mi_svm", "train_per_candidate",
     "write_groups_csv", "write_report_csv",
 ]

@@ -1,77 +1,27 @@
-"""Comparison algorithms: the per-candidate SVM baseline and MI-SVM.
+"""MI-SVM, the weakly supervised comparison algorithm.
 
-The SVM baseline is the per-candidate objective solved in unconstrained
-form; exact hinge behavior is obtained with ``delta = 0``. MI-SVM is the
-weakly supervised alternating heuristic: it ignores key annotations, guesses
-which candidate represents each positive group, retrains, and repeats until
-the selection stops changing.
+MI-SVM (Andrews et al., NIPS 2002) is an alternating heuristic: it ignores
+key annotations, guesses which candidate represents each positive group,
+retrains, and repeats until the selection stops changing. Each inner problem
+is the shared per-candidate objective at the caller's hyperparameters, so
+the classic trade-off constant C corresponds to ``lam = C / (1 + C)``. The
+per-candidate SVM baseline needs no code of its own: it is
+:func:`~gcm.train.train_per_candidate` with ``delta = 0``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .model import Dataset, Hyperparams, LinearModel
+from .objectives import _group_argmax
 from .solver import SolverConfig
 from .train import train_per_candidate
 
-#: Huber width used for MI-SVM inner solves (its trade-off config carries
-#: only C and delta).
+#: Huber width :func:`~gcm.evaluation.fit_algorithm` trains MI-SVM's inner
+#: problems with, whatever epsilon the other algorithms use.
 MISVM_INNER_EPSILON = 1.0
-
-
-@dataclass(frozen=True)
-class MiSvmConfig:
-    """MI-SVM settings.
-
-    ``c_tradeoff`` is the classic positive trade-off constant C; the inner
-    problems run on the shared normalized objective with ``lam = C / (1 + C)``.
-    """
-
-    c_tradeoff: float
-    inner_delta: float = 0.0
-    max_outer_iterations: int = 50
-    inner_solver: SolverConfig = field(default_factory=SolverConfig)
-
-    def __post_init__(self):
-        if not self.c_tradeoff > 0.0:
-            raise DomainError("c_tradeoff must be > 0")
-        if self.inner_delta < 0.0:
-            raise DomainError("inner_delta must be >= 0")
-        if self.max_outer_iterations < 1:
-            raise DomainError("max_outer_iterations must be >= 1")
-
-    @property
-    def lam(self) -> float:
-        return self.c_tradeoff / (1.0 + self.c_tradeoff)
-
-
-@dataclass(frozen=True)
-class SelectorState:
-    """Which row currently represents each positive group."""
-
-    selected_row_per_positive_group: dict[int, int]
-
-
-def train_svm_baseline(data: Dataset, hp: Hyperparams,
-                       cfg: SolverConfig | None = None) -> LinearModel:
-    """Train on every row independently (no grouping)."""
-    if data.n_pos_rows == 0 or data.n_neg_rows == 0:
-        raise ConfigurationError("training needs both classes present")
-    model, _ = train_per_candidate(data, hp, cfg)
-    return model
-
-
-def _positive_group_rows(data: Dataset) -> list[tuple[int, np.ndarray]]:
-    out = []
-    for k in range(data.n_groups):
-        if data.group_labels[k] == 1:
-            lo, hi = data.group_starts[k], data.group_starts[k + 1]
-            out.append((int(data.group_ids[lo]), np.arange(lo, hi)))
-    return out
 
 
 def _inner_dataset(data: Dataset, pos_features: np.ndarray,
@@ -87,51 +37,44 @@ def _inner_dataset(data: Dataset, pos_features: np.ndarray,
     return Dataset(features, labels, group_ids, is_key)
 
 
-def train_mi_svm(data: Dataset, cfg: MiSvmConfig
-                 ) -> tuple[LinearModel, SelectorState, int]:
+def train_mi_svm(data: Dataset, hp: Hyperparams,
+                 cfg: SolverConfig | None = None, max_outer: int = 50
+                 ) -> tuple[LinearModel, np.ndarray, int, bool]:
     """Alternating MI-SVM heuristic.
 
     Iteration 1 represents each positive group by its mean feature vector;
     later iterations select the row with the highest raw score per positive
-    group and retrain on (selected positives + all negative rows). Stops when
-    the selection reaches a fixed point or after ``max_outer_iterations``
-    inner solves. Key flags in ``data`` are ignored.
+    group (the first on ties) and retrain on (selected positives + all
+    negative rows), each inner problem solved at ``hp`` with ``cfg``. Stops
+    when the selection reaches a fixed point or after ``max_outer`` inner
+    solves. Key flags in ``data`` are ignored.
+
+    Returns ``(model, selected_rows, outer, converged)``: the selected row
+    per positive group in group order (int64), the number of inner solves,
+    and whether the selection reached its fixed point.
     """
-    pos_groups = _positive_group_rows(data)
-    if not pos_groups:
+    if max_outer < 1:
+        raise DomainError("max_outer must be >= 1")
+    pos = np.flatnonzero(data.group_labels == 1)
+    if not pos.size:
         raise ConfigurationError("MI-SVM needs at least one positive group")
     if data.n_neg_rows == 0:
         raise ConfigurationError("MI-SVM needs negative rows")
-    hp = Hyperparams(lam=cfg.lam, epsilon=MISVM_INNER_EPSILON,
-                     delta=cfg.inner_delta)
-    pos_group_ids = np.array([gid for gid, _ in pos_groups], dtype=np.int64)
+    starts = data.group_starts
+    pos_group_ids = data.group_ids[starts[pos]]
 
-    means = np.stack([data.X[rows].mean(axis=0) for _, rows in pos_groups])
+    means = np.stack([data.X[np.arange(starts[k], starts[k + 1])].mean(axis=0)
+                      for k in pos])
     model, _ = train_per_candidate(_inner_dataset(data, means, pos_group_ids),
-                                   hp, cfg.inner_solver)
+                                   hp, cfg)
     outer = 1
-    selector = _select_rows(model, data, pos_groups)
-    while outer < cfg.max_outer_iterations:
-        inner = _inner_dataset(data, data.X[selector], pos_group_ids)
-        model, _ = train_per_candidate(inner, hp, cfg.inner_solver,
-                                       start=model)
+    selected = _group_argmax(model.raw_scores(data.X), starts)[pos]
+    converged = False
+    while outer < max_outer and not converged:
+        inner = _inner_dataset(data, data.X[selected], pos_group_ids)
+        model, _ = train_per_candidate(inner, hp, cfg, start=model)
         outer += 1
-        new_selector = _select_rows(model, data, pos_groups)
-        if np.array_equal(new_selector, selector):
-            selector = new_selector
-            break
-        selector = new_selector
-    state = SelectorState({
-        int(gid): int(row) for gid, row in zip(pos_group_ids, selector)
-    })
-    return model, state, outer
-
-
-def _select_rows(model: LinearModel, data: Dataset,
-                 pos_groups: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Per positive group, the row with the maximal raw score (first on ties)."""
-    scores = model.raw_scores(data.X)
-    return np.array(
-        [rows[int(np.argmax(scores[rows]))] for _, rows in pos_groups],
-        dtype=np.int64,
-    )
+        previous = selected
+        selected = _group_argmax(model.raw_scores(data.X), starts)[pos]
+        converged = np.array_equal(selected, previous)
+    return model, selected, outer, converged

@@ -132,28 +132,13 @@ def _write_manifest(output_path, command: str, params: dict,
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        memory_pairs=args.memory_pairs,
-        max_iterations=args.max_iterations,
-        grad_inf_tolerance=args.grad_tol,
-        rel_obj_tolerance=args.rel_obj_tol,
-        armijo_c1=args.armijo_c1,
-        backtrack_factor=args.backtrack_factor,
-        max_backtracks=args.max_backtracks,
-        initial_step=args.initial_step,
-    )
+    return SolverConfig(max_iterations=args.max_iterations)
 
 
 def _add_solver_flags(parser):
     group = parser.add_argument_group("solver overrides")
-    group.add_argument("--memory-pairs", type=int, default=10)
-    group.add_argument("--max-iterations", type=int, default=1000)
-    group.add_argument("--grad-tol", type=_positive_float, default=1e-6)
-    group.add_argument("--rel-obj-tol", type=_nonneg_float, default=1e-10)
-    group.add_argument("--armijo-c1", type=float, default=1e-4)
-    group.add_argument("--backtrack-factor", type=float, default=0.5)
-    group.add_argument("--max-backtracks", type=int, default=40)
-    group.add_argument("--initial-step", type=_positive_float, default=1.0)
+    group.add_argument("--max-iterations", type=int, default=1000,
+                       help="L-BFGS iteration cap per solve")
 
 
 def _add_common_hyper_flags(parser):

@@ -185,8 +185,8 @@ class BinaryDatasetReader:
         Each read chunk is appended to the rows not yet yielded, and those
         rows are cut into blocks. The last block holds the last group, which
         the next chunk may continue, so it is held back until end of file.
-        Held-back rows are copied once per read, so a ``read_chunk_rows``
-        far below ``max_rows`` copies each row many times.
+        A read takes at least as many rows as are held back, so copying them
+        forward costs no more than the read itself.
         """
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER_DTYPE.itemsize)
@@ -194,15 +194,15 @@ class BinaryDatasetReader:
             seen = row_offset = 0
             eof = False
             while not eof:
-                buf = np.empty(len(tail) + self.read_chunk_rows,
-                               dtype=self._dtype)
+                want = max(self.read_chunk_rows, len(tail))
+                buf = np.empty(len(tail) + want, dtype=self._dtype)
                 buf[:len(tail)] = tail
                 # a partial record at a truncated end is dropped here and
                 # caught by the row count check
                 got = fh.readinto(buf[len(tail):].view(np.uint8))
                 got //= self._dtype.itemsize
                 seen += got
-                eof = got < self.read_chunk_rows
+                eof = got < want
                 buf = buf[:len(tail) + got]
                 if len(buf) == 0:
                     break

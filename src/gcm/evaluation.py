@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import MISVM_INNER_EPSILON, MiSvmConfig, train_mi_svm
+from .baselines import MISVM_INNER_EPSILON, train_mi_svm
 from .errors import ConfigurationError, DomainError
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Dataset, Hyperparams, LinearModel
 from .objectives import _group_argmax
@@ -182,10 +182,10 @@ def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
                   misvm_max_outer: int = 50) -> tuple[LinearModel, dict]:
     """Train one algorithm and return (model, run details).
 
-    Hyperparameters are those of :func:`training_hyperparams`. MI-SVM maps
-    the shared trade-off to its constant via ``C = lam / (1 - lam)``; its
-    details hold the outer iteration count, the selected row per positive
-    group and whether the selector reached a fixed point.
+    Hyperparameters are those of :func:`training_hyperparams`; MI-SVM's
+    inner problems train at ``lam`` itself. MI-SVM's details hold the outer
+    iteration count, whether the selector reached its fixed point, and the
+    selected row per positive group as ``{group_id: row}``.
     """
     hp = training_hyperparams(algo, lam, epsilon, delta)
     if algo is Algorithm.GCM:
@@ -194,19 +194,15 @@ def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
         model, trace = train_per_candidate(data, hp, solver_cfg)
     elif algo is Algorithm.MISVM:
         if not 0.0 < lam < 1.0:
-            raise ConfigurationError("MI-SVM needs lam in (0, 1) to derive C")
-        cfg = MiSvmConfig(
-            c_tradeoff=lam / (1.0 - lam),
-            inner_delta=hp.delta,
-            max_outer_iterations=misvm_max_outer,
-            inner_solver=solver_cfg or SolverConfig(),
-        )
-        model, selector, outer = train_mi_svm(data, cfg)
+            raise ConfigurationError("MI-SVM needs lam in (0, 1)")
+        model, selected, outer, converged = train_mi_svm(
+            data, hp, solver_cfg, misvm_max_outer)
+        pos_ids = data.group_ids[data.group_starts[:-1]][data.group_labels == 1]
         return model, {
             "outer_iterations": outer,
             "termination_reason": "SelectorFixedPoint"
-            if outer < cfg.max_outer_iterations else "MaxOuterIterations",
-            "selector": selector.selected_row_per_positive_group,
+            if converged else "MaxOuterIterations",
+            "selector": dict(zip(pos_ids.tolist(), selected.tolist())),
         }
     else:  # pragma: no cover - exhaustive enum
         raise ConfigurationError(f"unknown algorithm {algo}")

@@ -3,8 +3,9 @@
 Drives any (objective, gradient) callable pair over a flat parameter vector.
 The implementation is the standard two-loop recursion over the most recent
 curvature pairs, with the initial Hessian scaled by ``<s, y> / <y, y>``.
-Everything is plain float64 numpy, so identical inputs give bit-identical
-outputs.
+The memory size and the line search are fixed module constants;
+:class:`SolverConfig` sets only when a solve stops. Everything is plain
+float64 numpy, so identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -24,32 +25,33 @@ class Termination(enum.Enum):
     LINE_SEARCH_FAILURE = "LineSearchFailure"
 
 
+#: Curvature pairs kept by the two-loop recursion.
+MEMORY_PAIRS = 10
+#: Sufficient-decrease constant of the Armijo test.
+ARMIJO_C1 = 1e-4
+#: Factor each backtrack shrinks the step by.
+BACKTRACK_FACTOR = 0.5
+#: Backtracks tried before a line search fails.
+MAX_BACKTRACKS = 40
+#: Step tried first along each direction.
+INITIAL_STEP = 1.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver parameters; defaults suit all objectives in this package."""
+    """When a solve stops: an iteration cap and two tolerances.
 
-    memory_pairs: int = 10
+    The defaults suit every objective in this package. The line search and
+    the curvature memory use the fixed module constants above.
+    """
+
     max_iterations: int = 1000
     grad_inf_tolerance: float = 1e-6
     rel_obj_tolerance: float = 1e-10
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
-    initial_step: float = 1.0
 
     def __post_init__(self):
-        if self.memory_pairs < 1:
-            raise DomainError("memory_pairs must be >= 1")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise DomainError("armijo_c1 must be in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise DomainError("backtrack_factor must be in (0, 1)")
-        if self.max_backtracks < 1:
-            raise DomainError("max_backtracks must be >= 1")
-        if not self.initial_step > 0.0:
-            raise DomainError("initial_step must be > 0")
 
 
 @dataclass
@@ -127,15 +129,15 @@ def minimize(objective_fn, gradient_fn, start, cfg: SolverConfig | None = None):
             p = -g
             gtp = float(g @ p)
 
-        step = cfg.initial_step
+        step = INITIAL_STEP
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + step * p
             f_new = float(objective_fn(x_new))
-            if np.isfinite(f_new) and f_new <= f + cfg.armijo_c1 * step * gtp:
+            if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * gtp:
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             reason = Termination.LINE_SEARCH_FAILURE
             break
@@ -148,7 +150,7 @@ def minimize(objective_fn, gradient_fn, start, cfg: SolverConfig | None = None):
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > cfg.memory_pairs:
+            if len(s_list) > MEMORY_PAIRS:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -21,7 +21,6 @@ from gcm import (
     GeneratorSpec,
     Hyperparams,
     LinearModel,
-    MiSvmConfig,
     SolverConfig,
     eval_grouped,
     eval_per_candidate,
@@ -38,6 +37,7 @@ from gcm import (
     train_mi_svm,
     train_per_candidate,
 )
+from gcm.baselines import MISVM_INNER_EPSILON
 from gcm.cli import main as cli_main
 from conftest import build_grouped_dataset
 from oracles import fd_gradient
@@ -223,8 +223,8 @@ def benchmark_runs():
     started = time.perf_counter()
     grouped_model, _ = train_gcm(train, hp, solver)
     flat_model, _ = train_per_candidate(train, hp, solver)
-    mi_model, _, outer = train_mi_svm(
-        train, MiSvmConfig(c_tradeoff=1.0, inner_solver=solver))
+    mi_model, _, outer, _ = train_mi_svm(
+        train, Hyperparams(0.5, MISVM_INNER_EPSILON, 0.0), solver)
     elapsed = time.perf_counter() - started
     return {
         "train": train,

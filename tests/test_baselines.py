@@ -7,16 +7,16 @@ from gcm import (
     DomainError,
     Hyperparams,
     LinearModel,
-    MiSvmConfig,
     SolverConfig,
     eval_grouped,
     eval_per_candidate,
     evaluate_model,
     train_gcm,
     train_mi_svm,
-    train_svm_baseline,
+    train_per_candidate,
 )
 from gcm.baselines import MISVM_INNER_EPSILON
+from gcm.evaluation import Algorithm, fit_algorithm
 from conftest import build_grouped_dataset
 
 
@@ -34,15 +34,15 @@ class TestSvmBaseline:
     def test_separable_blobs_reach_full_training_accuracy(self):
         rng = np.random.default_rng(11)
         ds = blobs(rng, n_per_class=20, gap=6.0)
-        model = train_svm_baseline(ds, Hyperparams(lam=0.5, delta=0.0))
+        model, _ = train_per_candidate(ds, Hyperparams(lam=0.5, delta=0.0))
         pred = np.sign(model.raw_scores(ds.X))
         assert np.all(pred == ds.labels)
 
     def test_symmetric_pair_gives_zero_bias(self):
         ds = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), [1, -1], [0, 1],
                      [True, False])
-        model = train_svm_baseline(ds, Hyperparams(lam=0.5, epsilon=1.0,
-                                                   delta=0.0))
+        model, _ = train_per_candidate(ds, Hyperparams(lam=0.5, epsilon=1.0,
+                                                      delta=0.0))
         assert model.w[0] > 0
         assert abs(model.b) <= 1e-6
 
@@ -50,7 +50,7 @@ class TestSvmBaseline:
         rng = np.random.default_rng(5)
         ds = build_grouped_dataset(rng, 8, 8, 2, 4, 3)
         hp = Hyperparams(lam=0.5)
-        model = train_svm_baseline(ds, hp)
+        model, _ = train_per_candidate(ds, hp)
         best = eval_per_candidate(model, ds, hp).total
         for _ in range(1000):
             probe = LinearModel(rng.normal(size=3), float(rng.normal()))
@@ -59,32 +59,38 @@ class TestSvmBaseline:
     def test_single_class_rejected(self):
         ds = Dataset(np.zeros((2, 1)), [1, 1], [0, 1], [True, True])
         with pytest.raises(ConfigurationError):
-            train_svm_baseline(ds, Hyperparams(lam=0.5))
+            train_per_candidate(ds, Hyperparams(lam=0.5))
 
 
 class TestMiSvmConfig:
-    def test_lambda_mapping(self):
-        assert MiSvmConfig(c_tradeoff=1.0).lam == 0.5
-        assert MiSvmConfig(c_tradeoff=3.0).lam == 0.75
+    def test_fit_algorithm_trains_at_lambda_itself(self, rng):
+        # 0.6 / 0.4 = 1.4999999999999998, and C / (1 + C) of that is
+        # 0.5999999999999999: a trip through C must not move lambda
+        ds = build_grouped_dataset(rng, 4, 6, 2, 4, 2)
+        model, info = fit_algorithm(Algorithm.MISVM, ds, lam=0.6)
+        reference, selected, outer, _ = train_mi_svm(
+            ds, Hyperparams(0.6, MISVM_INNER_EPSILON, 0.0))
+        assert model.w.tobytes() == reference.w.tobytes()
+        assert model.b == reference.b
+        assert list(info["selector"].values()) == selected.tolist()
+        assert info["outer_iterations"] == outer
 
-    def test_validation(self):
+    def test_validation(self, rng):
+        ds = build_grouped_dataset(rng, 2, 2, 1, 3, 2)
         with pytest.raises(DomainError):
-            MiSvmConfig(c_tradeoff=0.0)
+            train_mi_svm(ds, Hyperparams(lam=0.5), max_outer=0)
         with pytest.raises(DomainError):
-            MiSvmConfig(c_tradeoff=1.0, inner_delta=-1.0)
-        with pytest.raises(DomainError):
-            MiSvmConfig(c_tradeoff=1.0, max_outer_iterations=0)
+            train_mi_svm(ds, Hyperparams(lam=0.5, delta=-1.0))
 
 
 class TestMiSvm:
     def test_singleton_positive_groups_match_svm_baseline(self):
         rng = np.random.default_rng(21)
         ds = blobs(rng, n_per_class=15, gap=3.0)
-        cfg = MiSvmConfig(c_tradeoff=1.0, inner_delta=0.5)
-        model, selector, outer = train_mi_svm(ds, cfg)
+        hp = Hyperparams(lam=0.5, epsilon=MISVM_INNER_EPSILON, delta=0.5)
+        model, _, outer, _ = train_mi_svm(ds, hp)
         assert outer <= 2
-        hp = Hyperparams(lam=cfg.lam, epsilon=MISVM_INNER_EPSILON, delta=0.5)
-        baseline = train_svm_baseline(ds, hp)
+        baseline, _ = train_per_candidate(ds, hp)
         obj_mi = eval_per_candidate(model, ds, hp).total
         obj_base = eval_per_candidate(baseline, ds, hp).total
         assert obj_mi == pytest.approx(obj_base, rel=1e-6)
@@ -94,27 +100,28 @@ class TestMiSvm:
         # optimum rather than hitting gradient tolerance
         rng = np.random.default_rng(21)
         ds = blobs(rng, n_per_class=15, gap=3.0)
-        cfg = MiSvmConfig(c_tradeoff=1.0, inner_delta=0.0)
-        model, _, outer = train_mi_svm(ds, cfg)
+        hp = Hyperparams(lam=0.5, epsilon=MISVM_INNER_EPSILON, delta=0.0)
+        model, _, outer, _ = train_mi_svm(ds, hp)
         assert outer <= 2
-        hp = Hyperparams(lam=cfg.lam, epsilon=MISVM_INNER_EPSILON, delta=0.0)
-        baseline = train_svm_baseline(ds, hp)
+        baseline, _ = train_per_candidate(ds, hp)
         obj_mi = eval_per_candidate(model, ds, hp).total
         obj_base = eval_per_candidate(baseline, ds, hp).total
         assert obj_mi == pytest.approx(obj_base, rel=1e-3)
 
     def test_selector_reaches_fixed_point(self, rng):
         ds = build_grouped_dataset(rng, 10, 12, 3, 6, 4)
-        cfg = MiSvmConfig(c_tradeoff=1.0)
-        model, selector, outer = train_mi_svm(ds, cfg)
-        assert outer <= cfg.max_outer_iterations
-        assert len(selector.selected_row_per_positive_group) == 10
+        model, selected, outer, _ = train_mi_svm(
+            ds, Hyperparams(0.5, MISVM_INNER_EPSILON, 0.0), max_outer=50)
+        assert outer <= 50
+        assert len(selected) == 10
 
     def test_selector_rows_have_maximal_score(self, rng):
         ds = build_grouped_dataset(rng, 6, 6, 2, 5, 3)
-        model, selector, _ = train_mi_svm(ds, MiSvmConfig(c_tradeoff=2.0))
+        model, selected, _, _ = train_mi_svm(
+            ds, Hyperparams(2.0 / 3.0, MISVM_INNER_EPSILON, 0.0))
         scores = model.raw_scores(ds.X)
-        for gid, row in selector.selected_row_per_positive_group.items():
+        pos_ids = ds.group_ids[ds.group_starts[:-1]][ds.group_labels == 1]
+        for gid, row in zip(pos_ids, selected):
             _, rows = ds.group_index[gid]
             assert ds.group_ids[row] == gid
             assert scores[row] == np.max(scores[rows])
@@ -151,7 +158,7 @@ class TestMiSvm:
         ds = Dataset(np.zeros((3, 1)), [-1, -1, -1], [0, 1, 2],
                      [False, False, False])
         with pytest.raises(ConfigurationError):
-            train_mi_svm(ds, MiSvmConfig(c_tradeoff=1.0))
+            train_mi_svm(ds, Hyperparams(lam=0.5))
 
     def test_minority_keys_favor_gcm_at_group_level(self):
         # desk-scale hard-negative regime: keys are 1 of ~30 rows, decoy
@@ -166,8 +173,8 @@ class TestMiSvm:
                                             group_size_max=35, d=6))
         solver = SolverConfig(max_iterations=300)
         gcm_model, _ = train_gcm(train, Hyperparams(lam=0.5), solver)
-        mi_model, _, outer = train_mi_svm(
-            train, MiSvmConfig(c_tradeoff=1.0, inner_solver=solver))
+        mi_model, _, outer, _ = train_mi_svm(
+            train, Hyperparams(0.5, MISVM_INNER_EPSILON, 0.0), solver)
         assert outer <= 50
         gcm_auc = evaluate_model(gcm_model, test).group_auc
         mi_auc = evaluate_model(mi_model, test).group_auc

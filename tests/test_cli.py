@@ -12,6 +12,7 @@ from gcm import (
     load_model,
     save_binary,
     save_text,
+    train_mi_svm,
 )
 from gcm.cli import main
 from conftest import build_grouped_dataset
@@ -90,6 +91,49 @@ class TestTrain:
         assert np.array_equal(saved.model.w, model.w)
         assert saved.model.b == model.b
         assert saved.hyperparams.delta == 0.0
+
+    def test_misvm_records_the_lambda_it_trained_at(self, easy_files, tmp_path):
+        train_path, _ = easy_files
+        model_out = tmp_path / "misvm.model.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "misvm", "--lambda", "0.6") == 0
+        saved = load_model(model_out)
+        assert saved.hyperparams.lam == 0.6
+        model, _, _, _ = train_mi_svm(load_binary(train_path), saved.hyperparams)
+        assert saved.model.w.tobytes() == model.w.tobytes()
+        assert saved.model.b == model.b
+
+    @pytest.mark.parametrize("cap, reason", [
+        (50, "SelectorFixedPoint"),
+        (2, "SelectorFixedPoint"),  # the fixed point is reached at the cap
+        (1, "MaxOuterIterations"),
+    ])
+    def test_misvm_termination_reason(self, cap, reason, easy_files, tmp_path):
+        train_path, _ = easy_files
+        model_out = tmp_path / "misvm.model.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "misvm", "--lambda", "0.5",
+                   "--misvm-max-outer", str(cap)) == 0
+        manifest = json.loads(
+            (tmp_path / "misvm.model.json.manifest.json").read_text())
+        assert manifest["outer_iterations"] == min(cap, 2)
+        assert manifest["termination_reason"] == reason
+
+    def test_max_iterations_is_the_only_solver_flag(self, easy_files, tmp_path):
+        train_path, _ = easy_files
+        model_out = tmp_path / "gcm.model.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "gcm", "--lambda", "0.5",
+                   "--max-iterations", "3") == 0
+        manifest = json.loads(
+            (tmp_path / "gcm.model.json.manifest.json").read_text())
+        assert manifest["iterations"] <= 3
+        assert manifest["parameters"]["solver"]["max_iterations"] == 3
+        with pytest.raises(SystemExit) as err:
+            run("train", "--data", str(train_path), "--model-out",
+                str(model_out), "--algo", "gcm", "--lambda", "0.5",
+                "--grad-tol", "1e-3")
+        assert err.value.code == 2
 
     def test_lambda_out_of_range_is_usage_error(self, easy_files, tmp_path):
         train_path, _ = easy_files

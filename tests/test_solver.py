@@ -120,11 +120,7 @@ class TestSolverBehavior:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            SolverConfig(armijo_c1=1.5)
-        with pytest.raises(DomainError):
-            SolverConfig(backtrack_factor=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(memory_pairs=0)
+            SolverConfig(max_iterations=0)
 
 
 class TestTrainers:
