@@ -44,7 +44,6 @@ from .evaluation import (
     EvalReport,
     LambdaCvResult,
     ScoredGroup,
-    compare_algorithms,
     cross_validate,
     evaluate_model,
     fit_algorithm,
@@ -97,7 +96,7 @@ __all__ = [
     "MixedLabelGroupError", "MultipleKeysError", "NumericalError",
     "ObjectiveValue", "PRESETS", "SavedModel", "ScoredGroup",
     "SolveTrace", "SolverConfig", "Termination",
-    "UnsortedGroupError", "VersionMismatchError", "compare_algorithms",
+    "UnsortedGroupError", "VersionMismatchError",
     "cross_validate", "easy_spec", "eval_grouped", "eval_per_candidate",
     "evaluate_model", "expand", "expand_matrix", "expanded_dimension",
     "fit_algorithm", "generate", "gradient_per_candidate",

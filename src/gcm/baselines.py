@@ -23,6 +23,9 @@ from .train import train_per_candidate
 #: problems with, whatever epsilon the other algorithms use.
 MISVM_INNER_EPSILON = 1.0
 
+#: Default cap on MI-SVM's outer iterations (inner solves).
+MISVM_MAX_OUTER = 50
+
 
 def _inner_dataset(data: Dataset, pos_features: np.ndarray,
                    pos_group_ids: np.ndarray) -> Dataset:
@@ -38,7 +41,8 @@ def _inner_dataset(data: Dataset, pos_features: np.ndarray,
 
 
 def train_mi_svm(data: Dataset, hp: Hyperparams,
-                 cfg: SolverConfig | None = None, max_outer: int = 50
+                 cfg: SolverConfig | None = None,
+                 max_outer: int = MISVM_MAX_OUTER
                  ) -> tuple[LinearModel, np.ndarray, int, bool]:
     """Alternating MI-SVM heuristic.
 

@@ -19,8 +19,10 @@ import sys
 import time
 import warnings
 from contextlib import nullcontext
+from dataclasses import fields, replace
 
 from . import __version__
+from .baselines import MISVM_MAX_OUTER
 from .data_io import (
     load_dataset,
     load_model,
@@ -40,7 +42,6 @@ from .evaluation import (
     Algorithm,
     CvPlan,
     DEFAULT_LAMBDA_GRID,
-    compare_algorithms,
     cross_validate,
     evaluate_model,
     fit_algorithm,
@@ -135,49 +136,34 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(max_iterations=args.max_iterations)
 
 
-def _add_solver_flags(parser):
-    group = parser.add_argument_group("solver overrides")
-    group.add_argument("--max-iterations", type=int, default=1000,
-                       help="L-BFGS iteration cap per solve")
-
-
-def _add_common_hyper_flags(parser):
-    parser.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True,
-                        help="trade-off between regularization and loss, in [0, 1]")
+def _add_fit_flags(parser, with_lambda=True):
+    """The fit flags shared by ``train``, ``cv`` and ``compare``."""
+    if with_lambda:
+        parser.add_argument("--lambda", dest="lam", type=_lambda_arg,
+                            required=True,
+                            help="trade-off between regularization and loss, "
+                                 "in [0, 1]")
     parser.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
                         help="Huber width for the weight penalty")
     parser.add_argument("--delta", type=_nonneg_float, default=DEFAULT_DELTA,
                         help="smoothed-hinge width; 0 means the exact hinge")
+    parser.add_argument("--misvm-max-outer", type=int, default=MISVM_MAX_OUTER,
+                        help="MI-SVM outer iteration cap")
+    group = parser.add_argument_group("solver overrides")
+    group.add_argument("--max-iterations", type=int,
+                       default=SolverConfig.max_iterations,
+                       help="L-BFGS iteration cap per solve")
 
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     if args.preset:
         spec = PRESETS[args.preset](seed=args.seed)
-        overrides = {}
-        for name in ("n_pos_groups", "n_neg_groups", "group_size_min",
-                     "group_size_max", "d", "key_shift", "noise_scale",
-                     "outlier_rate", "outlier_shift", "decoy_shift"):
-            value = getattr(args, name)
-            if value is not None:
-                overrides[name] = value
-        if overrides:
-            from dataclasses import replace
-            spec = replace(spec, **overrides)
     else:
-        spec = GeneratorSpec(
-            seed=args.seed,
-            n_pos_groups=args.n_pos_groups if args.n_pos_groups is not None else 40,
-            n_neg_groups=args.n_neg_groups if args.n_neg_groups is not None else 200,
-            group_size_min=args.group_size_min or 150,
-            group_size_max=args.group_size_max or 250,
-            d=args.d or 13,
-            key_shift=args.key_shift if args.key_shift is not None else 3.0,
-            noise_scale=args.noise_scale if args.noise_scale is not None else 1.0,
-            outlier_rate=args.outlier_rate or 0.0,
-            outlier_shift=args.outlier_shift or 0.0,
-            decoy_shift=args.decoy_shift or 0.0,
-        )
+        spec = GeneratorSpec(seed=args.seed, n_pos_groups=40, n_neg_groups=200)
+    # every synth flag's dest is a spec field; the spec checks the values
+    spec = replace(spec, **{f.name: getattr(args, f.name) for f in fields(spec)
+                            if getattr(args, f.name) is not None})
     data = generate(spec)
     if args.format == "binary":
         save_binary(data, args.out)
@@ -311,14 +297,14 @@ def cmd_compare(args) -> int:
         datasets.append(args.test_data)
     else:
         train_data, test_data = split_groups(data, args.split_fraction, args.seed)
-    reports = compare_algorithms(
-        train_data, test_data, args.lam,
-        epsilon=args.epsilon, delta=args.delta,
-        solver_cfg=_solver_config(args), misvm_max_outer=args.misvm_max_outer,
-    )
-    lines = ["algo,candidate_auc,group_auc"]
+    solver_cfg = _solver_config(args)
+    reports = {}
     for algo in Algorithm:
-        rep = reports[algo]
+        model, _ = fit_algorithm(algo, train_data, args.lam, args.epsilon,
+                                 args.delta, solver_cfg, args.misvm_max_outer)
+        reports[algo] = evaluate_model(model, test_data)
+    lines = ["algo,candidate_auc,group_auc"]
+    for algo, rep in reports.items():
         lines.append(f"{algo.value},{rep.candidate_auc!r},{rep.group_auc!r}")
     with open(args.report_out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -332,8 +318,7 @@ def cmd_compare(args) -> int:
         datasets, started,
         extra={"seed": args.seed}, threads=args.threads,
     )
-    for algo in Algorithm:
-        rep = reports[algo]
+    for algo, rep in reports.items():
         print(f"{algo.value:12s} candidate_auc={rep.candidate_auc:.4f} "
               f"group_auc={rep.group_auc:.4f}")
     return EXIT_OK
@@ -369,12 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--algo", choices=[a.value for a in Algorithm], required=True)
-    _add_common_hyper_flags(p)
+    _add_fit_flags(p)
     p.add_argument("--expand-degree", type=int)
     p.add_argument("--standardize", action="store_true",
                    help="fit and apply a per-feature standardizer")
-    p.add_argument("--misvm-max-outer", type=int, default=50)
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a model on a dataset")
@@ -388,14 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validate the trade-off on a grid")
     p.add_argument("--data", required=True)
     p.add_argument("--algo", choices=[a.value for a in Algorithm], required=True)
-    p.add_argument("--folds", type=_folds_arg, default=5)
+    p.add_argument("--folds", type=_folds_arg, default=CvPlan.folds)
     p.add_argument("--lambda-grid", type=_grid_arg, default=DEFAULT_LAMBDA_GRID)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON)
-    p.add_argument("--delta", type=_nonneg_float, default=DEFAULT_DELTA)
-    p.add_argument("--misvm-max-outer", type=int, default=50)
+    _add_fit_flags(p, with_lambda=False)
     p.add_argument("--report-out", required=True)
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser(
@@ -406,10 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-data")
     p.add_argument("--split-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    _add_common_hyper_flags(p)
-    p.add_argument("--misvm-max-outer", type=int, default=50)
+    _add_fit_flags(p)
     p.add_argument("--report-out", required=True)
-    _add_solver_flags(p)
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -431,10 +409,7 @@ def main(argv=None) -> int:
     try:
         with _thread_limit(args.threads):
             return args.func(args)
-    except DataFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DimensionMismatchError, ConfigurationError) as exc:
+    except (DataFormatError, DimensionMismatchError, ConfigurationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -150,11 +150,18 @@ def _read_header(fh, path) -> tuple[int, int]:
 
 
 def _group_ids(records: np.ndarray, path) -> np.ndarray:
-    """The records' u64 group ids as int64; ids of 2**63 and above are refused."""
+    """The records' u64 group ids as int64, checked to be sorted.
+
+    Ids of 2**63 and above are refused. The order is checked after the cast,
+    because differences of unsigned ids wrap instead of going negative.
+    """
     ids = records["group_id"]
     if len(ids) and ids.max() > np.iinfo(np.int64).max:
         raise MalformedRecordError("group_id must be below 2**63", str(path))
-    return ids.astype(np.int64)
+    ids = ids.astype(np.int64)
+    if np.any(np.diff(ids) < 0):
+        raise UnsortedGroupError("rows are not sorted by group id", str(path))
+    return ids
 
 
 class BinaryDatasetReader:
@@ -191,7 +198,7 @@ class BinaryDatasetReader:
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER_DTYPE.itemsize)
             tail = np.empty(0, dtype=self._dtype)
-            seen = row_offset = 0
+            seen = 0
             eof = False
             while not eof:
                 want = max(self.read_chunk_rows, len(tail))
@@ -207,10 +214,6 @@ class BinaryDatasetReader:
                 if len(buf) == 0:
                     break
                 gids = _group_ids(buf, self.path)
-                if np.any(np.diff(gids) < 0):
-                    raise UnsortedGroupError(
-                        "rows are not sorted by group id", str(self.path)
-                    )
                 starts = group_starts(gids)
                 cuts = partition_groups(starts, max_rows)
                 if not eof:
@@ -231,9 +234,7 @@ class BinaryDatasetReader:
                         is_key=is_key,
                         group_ids=block_ids,
                         starts=block_starts,
-                        row_offset=row_offset,
                     )
-                    row_offset += int(hi - lo)
                 tail = buf[starts[cuts[-1]]:]
             if seen != self.n_rows:
                 raise MalformedRecordError(
@@ -256,11 +257,8 @@ def load_binary(path) -> Dataset:
                 f"header promises {n_rows} rows, file holds {len(records)}",
                 str(path),
             )
-    gids = _group_ids(records, path)
-    if np.any(np.diff(gids) < 0):
-        raise UnsortedGroupError("rows are not sorted by group id", str(path))
-    return Dataset(records["features"], records["label"], gids,
-                   records["is_key"])
+    return Dataset(records["features"], records["label"],
+                   _group_ids(records, path), records["is_key"])
 
 
 def load_dataset(path, fmt: str = "auto") -> Dataset:
@@ -286,7 +284,6 @@ class SavedModel:
     hyperparams: Hyperparams
     expansion: ExpansionSpec | None
     input_d: int
-    feature_order: list[tuple[int, ...]] | None
     scaler: AffineScaler | None
     provenance: dict
 
@@ -328,7 +325,7 @@ def save_model(path, model: LinearModel, hyperparams: Hyperparams, *,
 
 
 def load_model(path) -> SavedModel:
-    """Load a model file, checking format and version."""
+    """Load a model file, checking format, version and monomial order."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -347,11 +344,15 @@ def load_model(path) -> SavedModel:
     hyperparams = Hyperparams(hp["lambda"], hp["epsilon"], hp["delta"])
     expansion = None
     input_d = model.d
-    feature_order = None
     if doc.get("expansion"):
         expansion = ExpansionSpec(degree=doc["expansion"]["degree"])
         input_d = doc["expansion"]["input_d"]
-        feature_order = [tuple(e) for e in doc["expansion"]["feature_order"]]
+        recorded = [tuple(e) for e in doc["expansion"]["feature_order"]]
+        if recorded != monomial_exponents(input_d, expansion.degree):
+            raise MalformedRecordError(
+                "recorded monomial order differs from the expansion's",
+                str(path),
+            )
     scaler = None
     if doc.get("scaler"):
         scaler = AffineScaler(
@@ -363,7 +364,6 @@ def load_model(path) -> SavedModel:
         hyperparams=hyperparams,
         expansion=expansion,
         input_d=input_d,
-        feature_order=feature_order,
         scaler=scaler,
         provenance=doc.get("provenance", {}),
     )

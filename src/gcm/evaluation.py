@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import MISVM_INNER_EPSILON, train_mi_svm
+from .baselines import MISVM_INNER_EPSILON, MISVM_MAX_OUTER, train_mi_svm
 from .errors import ConfigurationError, DomainError
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Dataset, Hyperparams, LinearModel
 from .objectives import _group_argmax
@@ -179,7 +179,8 @@ def training_hyperparams(algo: Algorithm, lam: float,
 def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
                   epsilon: float = DEFAULT_EPSILON, delta: float = DEFAULT_DELTA,
                   solver_cfg: SolverConfig | None = None,
-                  misvm_max_outer: int = 50) -> tuple[LinearModel, dict]:
+                  misvm_max_outer: int = MISVM_MAX_OUTER
+                  ) -> tuple[LinearModel, dict]:
     """Train one algorithm and return (model, run details).
 
     Hyperparameters are those of :func:`training_hyperparams`; MI-SVM's
@@ -232,19 +233,11 @@ def make_group_folds(data: Dataset, plan: CvPlan) -> list[np.ndarray]:
     return [np.array(sorted(ids), dtype=np.int64) for ids in fold_ids]
 
 
-def _fold_auc(algo, train_data, valid_data, lam, epsilon, delta,
-              solver_cfg, misvm_max_outer):
-    model, _ = fit_algorithm(algo, train_data, lam, epsilon, delta,
-                             solver_cfg, misvm_max_outer)
-    report = evaluate_model(model, valid_data)
-    return report.group_auc, report.candidate_auc
-
-
 def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
                    epsilon: float = DEFAULT_EPSILON,
                    delta: float = DEFAULT_DELTA,
                    solver_cfg: SolverConfig | None = None,
-                   misvm_max_outer: int = 50
+                   misvm_max_outer: int = MISVM_MAX_OUTER
                    ) -> tuple[float, list[LambdaCvResult]]:
     """Pick the trade-off maximizing mean validation AUC over the grid.
 
@@ -277,10 +270,11 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
     for lam in plan.lambda_grid:
         group_aucs, cand_aucs = [], []
         for train_data, valid_data in splits:
-            g, c = _fold_auc(algo, train_data, valid_data, lam, epsilon,
-                             delta, solver_cfg, misvm_max_outer)
-            group_aucs.append(g)
-            cand_aucs.append(c)
+            model, _ = fit_algorithm(algo, train_data, lam, epsilon, delta,
+                                     solver_cfg, misvm_max_outer)
+            report = evaluate_model(model, valid_data)
+            group_aucs.append(report.group_auc)
+            cand_aucs.append(report.candidate_auc)
         results.append(LambdaCvResult(
             lam=lam,
             mean_group_auc=float(np.mean(group_aucs)),
@@ -313,19 +307,3 @@ def split_groups(data: Dataset, train_fraction: float, seed: int
     if not train_ids or not test_ids:
         raise ConfigurationError("split produced an empty side")
     return data.subset_groups(train_ids), data.subset_groups(test_ids)
-
-
-def compare_algorithms(train_data: Dataset, test_data: Dataset, lam: float,
-                       epsilon: float = DEFAULT_EPSILON,
-                       delta: float = DEFAULT_DELTA,
-                       solver_cfg: SolverConfig | None = None,
-                       misvm_max_outer: int = 50,
-                       algorithms: tuple[Algorithm, ...] = tuple(Algorithm),
-                       ) -> dict[Algorithm, EvalReport]:
-    """Train every algorithm on the same data and evaluate on the same test set."""
-    out = {}
-    for algo in algorithms:
-        model, _ = fit_algorithm(algo, train_data, lam, epsilon, delta,
-                                 solver_cfg, misvm_max_outer)
-        out[algo] = evaluate_model(model, test_data)
-    return out

@@ -98,7 +98,6 @@ class GroupBlock(NamedTuple):
 
     ``starts`` has one offset per group plus a trailing sentinel, so group
     ``k`` of the block occupies rows ``starts[k]:starts[k + 1]``.
-    ``row_offset`` is the index of the block's first row in the full dataset.
     """
 
     X: np.ndarray
@@ -106,7 +105,6 @@ class GroupBlock(NamedTuple):
     is_key: np.ndarray
     group_ids: np.ndarray
     starts: np.ndarray
-    row_offset: int
 
 
 def _group_location(group_id, path) -> str:
@@ -338,5 +336,4 @@ class Dataset:
                 is_key=self.is_key[lo:hi],
                 group_ids=self.group_ids[lo:hi],
                 starts=starts[k:j + 1] - lo,
-                row_offset=int(lo),
             )

@@ -57,6 +57,25 @@ class TestSynth:
         manifest = json.loads((tmp_path / "p.bin.manifest.json").read_text())
         assert manifest["parameters"]["spec"]["key_shift"] == 6.0
 
+    def test_unset_flags_take_the_spec_defaults(self, tmp_path):
+        out = tmp_path / "s.bin"
+        assert run("synth", "--out", str(out), "--seed", "3",
+                   "--pos-groups", "2", "--neg-groups", "3") == 0
+        manifest = json.loads((tmp_path / "s.bin.manifest.json").read_text())
+        assert manifest["parameters"]["spec"] == GeneratorSpec(
+            seed=3, n_pos_groups=2, n_neg_groups=3).__dict__
+
+    @pytest.mark.parametrize("preset", [None, "easy"])
+    @pytest.mark.parametrize("flags", [
+        ("--d", "0"),
+        ("--group-size-min", "0", "--group-size-max", "0"),
+    ])
+    def test_invalid_spec_is_usage_error(self, preset, flags, tmp_path):
+        preset_flags = ("--preset", preset) if preset else ()
+        assert run("synth", "--out", str(tmp_path / "bad.bin"),
+                   *preset_flags, *flags) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     @pytest.mark.parametrize("algo", ["gcm", "gcm-nogroup", "svm", "misvm"])
@@ -223,6 +242,22 @@ class TestEvaluate:
         assert run("evaluate", "--model", str(model_out), "--data", str(bad),
                    "--report-out", str(tmp_path / "r.csv")) == 3
         assert "group 1" in capsys.readouterr().err
+
+    def test_reordered_monomials_are_a_data_error(self, easy_files, tmp_path,
+                                                  capsys):
+        train_path, test_path = easy_files
+        model_out = tmp_path / "poly.model.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "gcm", "--lambda", "0.5",
+                   "--expand-degree", "2") == 0
+        doc = json.loads(model_out.read_text())
+        doc["expansion"]["feature_order"].reverse()
+        model_out.write_text(json.dumps(doc))
+        assert run("evaluate", "--model", str(model_out), "--data",
+                   str(test_path), "--report-out",
+                   str(tmp_path / "r.csv")) == 3
+        assert str(model_out) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_dimension_mismatch_exit_code(self, easy_files, tmp_path, rng):
         train_path, _ = easy_files

@@ -187,7 +187,6 @@ class TestStreaming:
                 assert np.array_equal(mb.is_key, sb.is_key)
                 assert np.array_equal(mb.group_ids, sb.group_ids)
                 assert np.array_equal(mb.starts, sb.starts)
-                assert mb.row_offset == sb.row_offset
 
     def test_streaming_objective_bit_identical(self, tmp_path, rng):
         ds = build_grouped_dataset(rng, 8, 20, 3, 9, 5)
@@ -447,7 +446,6 @@ class TestModelPersistence:
         assert saved.hyperparams.delta == 0.5
         assert saved.expansion.degree == 2
         assert saved.input_d == 3
-        assert saved.feature_order == monomial_exponents(3, 2)
         assert np.array_equal(saved.scaler.shift, scaler.shift)
         assert saved.provenance["algo"] == "gcm"
 
@@ -466,6 +464,21 @@ class TestModelPersistence:
         path.write_text("{\"something\": 1}")
         with pytest.raises(MalformedRecordError):
             load_model(path)
+
+    def test_reordered_monomials_rejected(self, tmp_path, rng):
+        # weights trained on one monomial order must not be applied to another
+        path = tmp_path / "m.json"
+        save_model(path, LinearModel(rng.normal(size=9), 0.0),
+                   Hyperparams(lam=0.5), expansion=ExpansionSpec(degree=2),
+                   input_d=3)
+        doc = json.loads(path.read_text())
+        assert doc["expansion"]["feature_order"] == [
+            list(e) for e in monomial_exponents(3, 2)]
+        doc["expansion"]["feature_order"].reverse()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     def test_inconsistent_d_rejected(self, tmp_path, rng):
         model = LinearModel(rng.normal(size=3), 0.0)
