@@ -2,10 +2,16 @@
 
 Subcommands: ``synth`` (generate datasets), ``train``, ``evaluate``, ``cv``
 (cross-validate the trade-off), ``compare`` (four-algorithm benchmark on a
-shared split). Every command writes a run manifest (``<output>.manifest.json``)
-holding the resolved parameters, dataset hashes and timing; model and report
-files themselves contain nothing non-deterministic, so a re-run with the same
-manifest reproduces them byte for byte.
+shared split). Each command returns its output path, its input files, the
+settings it resolved and its results, and :func:`main` writes one run
+manifest from them (``<output>.manifest.json``). The manifest's
+``parameters`` hold every parsed flag under its argparse dest name (``lam``
+for ``--lambda``), plus ``spec`` (the resolved ``GeneratorSpec``) for
+``synth`` and ``solver`` (the ``SolverConfig``) for ``train``. Beside them
+it records the SHA-256 of each input file, the wall clock and the command's
+results as top-level keys. Model and report files themselves contain
+nothing non-deterministic, so re-running the flags a manifest records
+reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -113,27 +119,31 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(output_path, command: str, params: dict,
-                    dataset_paths: list, started: float,
-                    extra: dict | None = None, threads: int = 1):
+def _write_manifest(args, output, inputs: dict, settings: dict,
+                    results: dict, started: float):
+    """Write ``<output>.manifest.json`` for one finished command.
+
+    ``inputs`` maps each input file to its SHA-256, or to None when the
+    command has not hashed it yet.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "package_version": __version__,
-        "parameters": params,
-        "threads": threads,
-        "dataset_sha256": {str(p): _sha256(p) for p in dataset_paths},
+        "parameters": {**flags, **settings},
+        "dataset_sha256": {p: digest or _sha256(p) for p, digest in inputs.items()},
         "wall_clock_seconds": time.perf_counter() - started,
+        **results,
     }
-    if extra:
-        manifest.update(extra)
-    path = f"{output_path}.manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=1, default=str)
+    with open(f"{output}.manifest.json", "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(manifest, fh, indent=1)
         fh.write("\n")
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iterations=args.max_iterations)
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _add_fit_flags(parser, with_lambda=True):
@@ -155,8 +165,11 @@ def _add_fit_flags(parser, with_lambda=True):
                        help="L-BFGS iteration cap per solve")
 
 
-def cmd_synth(args) -> int:
-    started = time.perf_counter()
+# Each command returns (output path, {input path: sha256 or None},
+# resolved settings, results); main writes the manifest from them.
+
+
+def cmd_synth(args):
     if args.preset:
         spec = PRESETS[args.preset](seed=args.seed)
     else:
@@ -169,20 +182,14 @@ def cmd_synth(args) -> int:
         save_binary(data, args.out)
     else:
         save_text(data, args.out)
-    _write_manifest(
-        args.out, "synth",
-        {"spec": spec.__dict__, "format": args.format, "out": str(args.out)},
-        [args.out], started,
-        extra={"seed": spec.seed}, threads=args.threads,
-    )
     print(f"wrote {data.n_rows} rows / {data.n_groups} groups to {args.out}")
-    return EXIT_OK
+    return args.out, {args.out: None}, {"spec": spec.__dict__}, {}
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args):
     data = load_dataset(args.data)
-    solver_cfg = _solver_config(args)
+    digest = _sha256(args.data)
+    solver_cfg = SolverConfig(max_iterations=args.max_iterations)
     algo = Algorithm(args.algo)
 
     expansion = None
@@ -197,31 +204,22 @@ def cmd_train(args) -> int:
 
     model, details = fit_algorithm(algo, data, args.lam, args.epsilon,
                                    args.delta, solver_cfg, args.misvm_max_outer)
-    extra = {k: v for k, v in details.items() if k != "selector"}
+    results = {k: v for k, v in details.items() if k != "selector"}
     provenance = {
         "algo": args.algo,
-        "dataset": str(args.data),
-        "dataset_sha256": _sha256(args.data),
+        "dataset": args.data,
+        "dataset_sha256": digest,
         "solver": solver_cfg.__dict__,
-        "standardize": bool(args.standardize),
-        **extra,
+        "standardize": args.standardize,
+        **results,
     }
     hp = training_hyperparams(algo, args.lam, args.epsilon, args.delta)
     save_model(args.model_out, model, hp, expansion=expansion, input_d=input_d,
                scaler=scaler, provenance=provenance)
-    params = {
-        "algo": args.algo, "lambda": args.lam, "epsilon": args.epsilon,
-        "delta": args.delta, "expand_degree": args.expand_degree,
-        "standardize": bool(args.standardize), "solver": solver_cfg.__dict__,
-        "data": str(args.data), "model_out": str(args.model_out),
-    }
-    if algo is Algorithm.MISVM:
-        params["misvm_max_outer"] = args.misvm_max_outer
-    _write_manifest(args.model_out, "train", params, [args.data], started,
-                    extra=extra, threads=args.threads)
     print(f"trained {args.algo} model -> {args.model_out} "
-          f"({extra['termination_reason']})")
-    return EXIT_OK
+          f"({results['termination_reason']})")
+    return (args.model_out, {args.data: digest},
+            {"solver": solver_cfg.__dict__}, results)
 
 
 def _apply_saved_pipeline(saved, data):
@@ -236,92 +234,59 @@ def _apply_saved_pipeline(saved, data):
     return data
 
 
-def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
+def cmd_evaluate(args):
     saved = load_model(args.model)
     data = _apply_saved_pipeline(saved, load_dataset(args.data))
     report = evaluate_model(saved.model, data)
     write_report_csv(report, args.report_out)
     groups_out = args.groups_out or f"{args.report_out}.groups.csv"
     write_groups_csv(score_groups(saved.model, data), groups_out)
-    _write_manifest(
-        args.report_out, "evaluate",
-        {"model": str(args.model), "data": str(args.data),
-         "report_out": str(args.report_out), "groups_out": str(groups_out)},
-        [args.data, args.model], started,
-        extra={"candidate_auc": report.candidate_auc,
-               "group_auc": report.group_auc},
-        threads=args.threads,
-    )
     print(f"candidate_auc={report.candidate_auc!r} group_auc={report.group_auc!r}")
-    return EXIT_OK
+    return (args.report_out, dict.fromkeys([args.data, args.model]), {},
+            {"candidate_auc": report.candidate_auc,
+             "group_auc": report.group_auc})
 
 
-def cmd_cv(args) -> int:
-    started = time.perf_counter()
+def cmd_cv(args):
     data = load_dataset(args.data)
     plan = CvPlan(folds=args.folds, lambda_grid=args.lambda_grid, seed=args.seed)
     best_lam, results = cross_validate(
         data, Algorithm(args.algo), plan,
         epsilon=args.epsilon, delta=args.delta,
-        solver_cfg=_solver_config(args), misvm_max_outer=args.misvm_max_outer,
+        solver_cfg=SolverConfig(max_iterations=args.max_iterations),
+        misvm_max_outer=args.misvm_max_outer,
     )
-    lines = ["lambda,mean_group_auc,mean_candidate_auc,folds_used"]
-    for r in results:
-        lines.append(f"{r.lam!r},{r.mean_group_auc!r},"
-                     f"{r.mean_candidate_auc!r},{r.folds_used}")
-    lines.append(f"# best_lambda={best_lam!r}")
-    with open(args.report_out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_manifest(
-        args.report_out, "cv",
-        {"algo": args.algo, "folds": args.folds,
-         "lambda_grid": list(args.lambda_grid), "seed": args.seed,
-         "epsilon": args.epsilon, "delta": args.delta,
-         "misvm_max_outer": args.misvm_max_outer, "data": str(args.data),
-         "report_out": str(args.report_out)},
-        [args.data], started,
-        extra={"best_lambda": best_lam, "seed": args.seed},
-        threads=args.threads,
-    )
+    _write_lines(args.report_out, [
+        "lambda,mean_group_auc,mean_candidate_auc,folds_used",
+        *(f"{r.lam!r},{r.mean_group_auc!r},{r.mean_candidate_auc!r},"
+          f"{r.folds_used}" for r in results),
+        f"# best_lambda={best_lam!r}",
+    ])
     print(f"best_lambda={best_lam!r}")
-    return EXIT_OK
+    return args.report_out, {args.data: None}, {}, {"best_lambda": best_lam}
 
 
-def cmd_compare(args) -> int:
-    started = time.perf_counter()
+def cmd_compare(args):
     data = load_dataset(args.data)
-    datasets = [args.data]
+    inputs = {args.data: None}
     if args.test_data:
         train_data, test_data = data, load_dataset(args.test_data)
-        datasets.append(args.test_data)
+        inputs[args.test_data] = None
     else:
         train_data, test_data = split_groups(data, args.split_fraction, args.seed)
-    solver_cfg = _solver_config(args)
+    solver_cfg = SolverConfig(max_iterations=args.max_iterations)
     reports = {}
     for algo in Algorithm:
         model, _ = fit_algorithm(algo, train_data, args.lam, args.epsilon,
                                  args.delta, solver_cfg, args.misvm_max_outer)
         reports[algo] = evaluate_model(model, test_data)
-    lines = ["algo,candidate_auc,group_auc"]
-    for algo, rep in reports.items():
-        lines.append(f"{algo.value},{rep.candidate_auc!r},{rep.group_auc!r}")
-    with open(args.report_out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_manifest(
-        args.report_out, "compare",
-        {"lambda": args.lam, "epsilon": args.epsilon, "delta": args.delta,
-         "split_fraction": args.split_fraction, "seed": args.seed,
-         "misvm_max_outer": args.misvm_max_outer,
-         "data": str(args.data), "test_data": str(args.test_data or ""),
-         "report_out": str(args.report_out)},
-        datasets, started,
-        extra={"seed": args.seed}, threads=args.threads,
-    )
+    _write_lines(args.report_out, ["algo,candidate_auc,group_auc", *(
+        f"{algo.value},{rep.candidate_auc!r},{rep.group_auc!r}"
+        for algo, rep in reports.items())])
     for algo, rep in reports.items():
         print(f"{algo.value:12s} candidate_auc={rep.candidate_auc:.4f} "
               f"group_auc={rep.group_auc:.4f}")
-    return EXIT_OK
+    return args.report_out, inputs, {}, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,9 +371,11 @@ def _thread_limit(threads: int):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         with _thread_limit(args.threads):
-            return args.func(args)
+            run = args.func(args)
+        _write_manifest(args, *run, started)
     except (DataFormatError, DimensionMismatchError, ConfigurationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -421,6 +388,7 @@ def main(argv=None) -> int:
     except (GcmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -325,7 +325,7 @@ def save_model(path, model: LinearModel, hyperparams: Hyperparams, *,
 
 
 def load_model(path) -> SavedModel:
-    """Load a model file, checking format, version and monomial order."""
+    """Load a model file, checking format, version, fields and monomial order."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -337,28 +337,33 @@ def load_model(path) -> SavedModel:
         raise VersionMismatchError(
             f"model version {doc.get('version')} is not supported", str(path)
         )
-    model = LinearModel(w=np.array(doc["w"], dtype=np.float64), b=doc["b"])
-    if model.d != doc["d"]:
-        raise MalformedRecordError("weight count disagrees with d", str(path))
-    hp = doc["hyperparams"]
-    hyperparams = Hyperparams(hp["lambda"], hp["epsilon"], hp["delta"])
-    expansion = None
-    input_d = model.d
-    if doc.get("expansion"):
-        expansion = ExpansionSpec(degree=doc["expansion"]["degree"])
-        input_d = doc["expansion"]["input_d"]
-        recorded = [tuple(e) for e in doc["expansion"]["feature_order"]]
-        if recorded != monomial_exponents(input_d, expansion.degree):
-            raise MalformedRecordError(
-                "recorded monomial order differs from the expansion's",
-                str(path),
+    try:
+        model = LinearModel(w=np.array(doc["w"], dtype=np.float64), b=doc["b"])
+        if model.d != doc["d"]:
+            raise MalformedRecordError("weight count disagrees with d", str(path))
+        hp = doc["hyperparams"]
+        hyperparams = Hyperparams(hp["lambda"], hp["epsilon"], hp["delta"])
+        expansion = None
+        input_d = model.d
+        if doc.get("expansion"):
+            expansion = ExpansionSpec(degree=doc["expansion"]["degree"])
+            input_d = doc["expansion"]["input_d"]
+            recorded = [tuple(e) for e in doc["expansion"]["feature_order"]]
+            if recorded != monomial_exponents(input_d, expansion.degree):
+                raise MalformedRecordError(
+                    "recorded monomial order differs from the expansion's",
+                    str(path),
+                )
+        scaler = None
+        if doc.get("scaler"):
+            scaler = AffineScaler(
+                np.array(doc["scaler"]["shift"], dtype=np.float64),
+                np.array(doc["scaler"]["scale"], dtype=np.float64),
             )
-    scaler = None
-    if doc.get("scaler"):
-        scaler = AffineScaler(
-            np.array(doc["scaler"]["shift"], dtype=np.float64),
-            np.array(doc["scaler"]["scale"], dtype=np.float64),
-        )
+    except (KeyError, TypeError) as exc:
+        # a required field is missing or holds the wrong kind of value
+        raise MalformedRecordError(
+            f"model field missing or malformed: {exc}", str(path)) from None
     return SavedModel(
         model=model,
         hyperparams=hyperparams,

@@ -293,7 +293,7 @@ def split_groups(data: Dataset, train_fraction: float, seed: int
                  ) -> tuple[Dataset, Dataset]:
     """Deterministic polarity-stratified train/test split at group level."""
     if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError("train_fraction must be in (0, 1)")
+        raise DomainError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     starts = data.group_starts[:-1]
     train_ids: list[int] = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .model import Dataset
 
 
@@ -46,7 +46,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.n_pos_groups < 1:
-            raise ConfigurationError(
+            raise DomainError(
                 "n_pos_groups must be >= 1 (a dataset without positive groups "
                 "cannot be used for training)"
             )

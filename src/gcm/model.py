@@ -267,6 +267,11 @@ class Dataset:
         for arr in (self.X, self.labels, self.group_ids, self.is_key,
                     self.group_labels):
             arr.flags.writeable = False
+        # counted once: the arrays are read-only and the trainers ask often
+        self.n_pos_rows = int(np.count_nonzero(self.labels == 1))
+        self.n_neg_rows = n - self.n_pos_rows
+        self.n_pos_groups = int(np.count_nonzero(self.group_labels == 1))
+        self.n_neg_groups = len(self.group_labels) - self.n_pos_groups
 
     # -- shape ---------------------------------------------------------------
 
@@ -281,22 +286,6 @@ class Dataset:
     @property
     def n_groups(self) -> int:
         return len(self.group_starts) - 1
-
-    @property
-    def n_pos_groups(self) -> int:
-        return int(np.count_nonzero(self.group_labels == 1))
-
-    @property
-    def n_neg_groups(self) -> int:
-        return int(np.count_nonzero(self.group_labels == -1))
-
-    @property
-    def n_pos_rows(self) -> int:
-        return int(np.count_nonzero(self.labels == 1))
-
-    @property
-    def n_neg_rows(self) -> int:
-        return int(np.count_nonzero(self.labels == -1))
 
     @property
     def group_index(self) -> dict[int, tuple[int, np.ndarray]]:

@@ -110,14 +110,12 @@ def _group_argmax(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     ``np.argmax`` does, so every group keeps exactly one index.
     """
     gmax = np.maximum.reduceat(values, starts[:-1])
-    sizes = np.diff(starts)
-    hit = values == np.repeat(gmax, sizes)
+    hit = values == np.repeat(gmax, np.diff(starts))
     if np.isnan(gmax).any():
         hit |= np.isnan(values)
     hits = np.flatnonzero(hit)
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    _, first = np.unique(seg[hits], return_index=True)
-    return hits[first]
+    # every group holds a hit, so its first hit is the first at or after its start
+    return hits[np.searchsorted(hits, starts[:-1])]
 
 
 def _check_dims(model: LinearModel, d: int):

@@ -1,7 +1,11 @@
+import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
+
+import gcm.cli
 
 from gcm import (
     Algorithm,
@@ -14,7 +18,7 @@ from gcm import (
     save_text,
     train_mi_svm,
 )
-from gcm.cli import main
+from gcm.cli import build_parser, main
 from conftest import build_grouped_dataset
 
 
@@ -69,6 +73,7 @@ class TestSynth:
     @pytest.mark.parametrize("flags", [
         ("--d", "0"),
         ("--group-size-min", "0", "--group-size-max", "0"),
+        ("--pos-groups", "0"),
     ])
     def test_invalid_spec_is_usage_error(self, preset, flags, tmp_path):
         preset_flags = ("--preset", preset) if preset else ()
@@ -137,6 +142,22 @@ class TestTrain:
             (tmp_path / "misvm.model.json.manifest.json").read_text())
         assert manifest["outer_iterations"] == min(cap, 2)
         assert manifest["termination_reason"] == reason
+
+    def test_dataset_is_hashed_once(self, easy_files, tmp_path, monkeypatch):
+        train_path, _ = easy_files
+        model_out = tmp_path / "gcm.model.json"
+        hashed = []
+        sha256 = gcm.cli._sha256
+        monkeypatch.setattr(gcm.cli, "_sha256",
+                            lambda p: hashed.append(p) or sha256(p))
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "gcm", "--lambda", "0.5") == 0
+        assert hashed == [str(train_path)]
+        digest = hashlib.sha256(train_path.read_bytes()).hexdigest()
+        manifest = json.loads(
+            (tmp_path / "gcm.model.json.manifest.json").read_text())
+        assert manifest["dataset_sha256"] == {str(train_path): digest}
+        assert load_model(model_out).provenance["dataset_sha256"] == digest
 
     def test_max_iterations_is_the_only_solver_flag(self, easy_files, tmp_path):
         train_path, _ = easy_files
@@ -304,6 +325,96 @@ class TestCompare:
         assert lines[0] == "algo,candidate_auc,group_auc"
         assert [l.split(",")[0] for l in lines[1:]] == [
             "gcm", "gcm-nogroup", "svm", "misvm"]
+
+    def test_split_fraction_out_of_range_is_usage_error(self, easy_files,
+                                                        tmp_path):
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        assert run("compare", "--data", str(train_path), "--lambda", "0.5",
+                   "--split-fraction", "1.5", "--report-out",
+                   str(tmp_path / "c.csv")) == 2
+        assert set(tmp_path.iterdir()) == before
+
+
+def argv_from_manifest(manifest):
+    """Rebuild a command line from the flags a manifest records.
+
+    Every flag of the command must be recorded under its dest name; the
+    parameters left over are the settings the command resolved.
+    """
+    params = dict(manifest["parameters"])
+
+    def flags(parser):
+        argv = []
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction) or not action.option_strings:
+                continue
+            value = params.pop(action.dest)
+            if value is None or value is False:
+                continue
+            argv.append(action.option_strings[0])
+            if isinstance(value, list):
+                argv.append(",".join(map(str, value)))
+            elif value is not True:
+                argv.append(str(value))
+        return argv
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    command = manifest["command"]
+    argv = flags(parser) + [command] + flags(commands[command])
+    return argv, params
+
+
+class TestManifest:
+    def test_rerunning_each_manifest_reproduces_its_outputs(
+            self, tmp_path, monkeypatch):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        small = ("--pos-groups", "5", "--neg-groups", "12",
+                 "--group-size-min", "3", "--group-size-max", "6", "--d", "3")
+        commands = [
+            ("synth", "--out", "train.bin", "--seed", "11", *small),
+            ("synth", "--out", "test.csv", "--seed", "12", "--format", "text",
+             "--preset", "easy", *small),
+            ("train", "--data", "train.bin", "--model-out", "model.json",
+             "--algo", "gcm-nogroup", "--lambda", "0.4", "--expand-degree",
+             "2", "--standardize", "--max-iterations", "7"),
+            ("evaluate", "--model", "model.json", "--data", "test.csv",
+             "--report-out", "report.csv", "--groups-out", "groups.csv"),
+            ("cv", "--data", "train.bin", "--algo", "gcm", "--folds", "2",
+             "--lambda-grid", "0.3,0.7", "--seed", "3", "--max-iterations",
+             "3", "--report-out", "cv.csv"),
+            ("compare", "--data", "train.bin", "--lambda", "0.5", "--seed",
+             "3", "--max-iterations", "3", "--report-out", "split.csv"),
+            ("compare", "--data", "train.bin", "--test-data", "test.csv",
+             "--lambda", "0.5", "--max-iterations", "3", "--delta", "0.25",
+             "--report-out", "held_out.csv"),
+        ]
+        outputs = ["train.bin", "test.csv", "model.json", "report.csv",
+                   "cv.csv", "split.csv", "held_out.csv"]
+        for argv in commands:
+            assert run(*argv) == 0
+        settings = {"synth": {"spec"}, "train": {"solver"}}
+        monkeypatch.chdir(second)
+        for out in outputs:
+            manifest = json.loads((first / f"{out}.manifest.json").read_text())
+            argv, resolved = argv_from_manifest(manifest)
+            assert set(resolved) == settings.get(manifest["command"], set())
+            assert main(argv) == 0, argv
+            again = json.loads((second / f"{out}.manifest.json").read_text())
+            for m in (manifest, again):
+                del m["wall_clock_seconds"]
+            assert again == manifest
+        assert ({p.name for p in second.iterdir()}
+                == {p.name for p in first.iterdir()})
+        for path in first.iterdir():
+            if not path.name.endswith(".manifest.json"):
+                assert (second / path.name).read_bytes() == path.read_bytes(), \
+                    path.name
 
 
 class TestPipelineDeterminism:

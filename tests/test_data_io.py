@@ -5,9 +5,9 @@ import pytest
 
 from gcm import (
     BinaryDatasetReader,
-    ConfigurationError,
     DataFormatError,
     Dataset,
+    DomainError,
     ExpansionSpec,
     GeneratorSpec,
     Hyperparams,
@@ -372,8 +372,9 @@ class TestGenerator:
         assert np.all((sizes >= 3) & (sizes <= 5))
 
     def test_no_positive_groups_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError) as err:
             GeneratorSpec(seed=0, n_pos_groups=0, n_neg_groups=5)
+        assert err.type is DomainError
 
     def test_key_rows_shifted(self):
         spec = GeneratorSpec(seed=3, n_pos_groups=30, n_neg_groups=5,
@@ -489,3 +490,36 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedRecordError):
             load_model(path)
+
+    @pytest.mark.parametrize("keys", [
+        ("d",), ("w",), ("b",), ("hyperparams",), ("hyperparams", "lambda"),
+        ("hyperparams", "epsilon"), ("hyperparams", "delta"),
+        ("expansion", "degree"), ("expansion", "input_d"),
+        ("expansion", "feature_order"), ("scaler", "shift"),
+        ("scaler", "scale"),
+    ])
+    def test_missing_field_rejected_at_path(self, keys, tmp_path, rng):
+        path = tmp_path / "m.json"
+        save_model(path, LinearModel(rng.normal(size=9), 0.0),
+                   Hyperparams(lam=0.5), expansion=ExpansionSpec(degree=2),
+                   input_d=3, scaler=AffineScaler(np.zeros(9), np.ones(9)))
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError) as err:
+            load_model(path)
+        assert str(path) in str(err.value) and keys[-1] in str(err.value)
+
+    def test_field_of_wrong_kind_rejected_at_path(self, tmp_path, rng):
+        path = tmp_path / "m.json"
+        save_model(path, LinearModel(rng.normal(size=2), 0.0),
+                   Hyperparams(lam=0.5))
+        doc = json.loads(path.read_text())
+        doc["hyperparams"] = [0.5, 1.0, 0.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError) as err:
+            load_model(path)
+        assert str(path) in str(err.value)

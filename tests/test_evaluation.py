@@ -241,8 +241,9 @@ class TestSplitGroups:
 
     def test_bad_fraction(self, rng):
         ds = build_grouped_dataset(rng, 3, 3, 1, 2, 2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError) as err:
             split_groups(ds, 1.0, seed=0)
+        assert err.type is DomainError
 
 
 class TestReportCsv:
