@@ -48,6 +48,7 @@ from .evaluation import (
     Algorithm,
     CvPlan,
     DEFAULT_LAMBDA_GRID,
+    _write_lines,
     cross_validate,
     evaluate_model,
     fit_algorithm,
@@ -89,11 +90,14 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
-def _folds_arg(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"folds must be >= 2, got {text}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+    return parse
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
@@ -139,11 +143,6 @@ def _write_manifest(args, output, inputs: dict, settings: dict,
               newline="\n") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
-
-
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _add_fit_flags(parser, with_lambda=True):
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gcm",
         description="Group-level convex training of linear classifiers",
     )
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="BLAS thread cap recorded in the manifest")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validate the trade-off on a grid")
     p.add_argument("--data", required=True)
     p.add_argument("--algo", choices=[a.value for a in Algorithm], required=True)
-    p.add_argument("--folds", type=_folds_arg, default=CvPlan.folds)
+    p.add_argument("--folds", type=_int_at_least(2), default=CvPlan.folds)
     p.add_argument("--lambda-grid", type=_grid_arg, default=DEFAULT_LAMBDA_GRID)
     p.add_argument("--seed", type=int, default=0)
     _add_fit_flags(p, with_lambda=False)

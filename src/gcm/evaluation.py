@@ -143,20 +143,22 @@ def write_report_csv(report: EvalReport, path):
     lines = ["level,fpr,tpr,threshold"]
     for level, roc in (("candidate", report.candidate_roc),
                        ("group", report.group_roc)):
-        for fpr, tpr, thr in roc:
-            lines.append(f"{level},{float(fpr)!r},{float(tpr)!r},{float(thr)!r}")
+        # np.float64 subclasses float; float.__repr__ prints it as repr(float(x))
+        fpr, tpr, thr = (map(float.__repr__, col) for col in np.asarray(roc).T)
+        lines += [f"{level},{a},{b},{c}" for a, b, c in zip(fpr, tpr, thr)]
     lines.append(
         f"# auc candidate={report.candidate_auc!r} group={report.group_auc!r}"
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_groups_csv(groups: list[ScoredGroup], path):
     """Serialize per-group scores: one row per group, argmax row included."""
-    lines = ["group_id,label,group_score,argmax_row"]
-    for g in groups:
-        lines.append(f"{g.group_id},{g.label},{g.group_score!r},{g.argmax_row}")
+    _write_lines(path, ["group_id,label,group_score,argmax_row"] + [
+        f"{g.group_id},{g.label},{g.group_score!r},{g.argmax_row}" for g in groups])
+
+
+def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -195,7 +197,7 @@ def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
         model, trace = train_per_candidate(data, hp, solver_cfg)
     elif algo is Algorithm.MISVM:
         if not 0.0 < lam < 1.0:
-            raise ConfigurationError("MI-SVM needs lam in (0, 1)")
+            raise DomainError(f"MI-SVM needs lam in (0, 1), got {lam}")
         model, selected, outer, converged = train_mi_svm(
             data, hp, solver_cfg, misvm_max_outer)
         pos_ids = data.group_ids[data.group_starts[:-1]][data.group_labels == 1]

@@ -1,5 +1,9 @@
 """Objective functions and their (sub)gradients.
 
+One pass over the rows yields both the value and the (sub)gradient at a
+point: :meth:`ObjectiveValue.gradient` reads what that pass kept, so a line
+search that needs the gradient only at accepted points pays no second pass.
+
 Two trainable objectives share the same three-term shape::
 
     (1 - lam)/d * sum_j huber(w_j)  +  lam/n+ * <positive loss>  +  lam/n- * <negative loss>
@@ -17,11 +21,11 @@ column-major feature blocks and group contributions are reduced in fixed-size
 chunks, which makes the result bit-identical regardless of how the blocks
 partition the rows.
 
-The grouped kernels apply the hinge once per group, not once per row: to the
-key row's margin for a positive group, and to ``-max(scores)`` for a negative
-group. Because ``smoothed_hinge`` is non-increasing, ``max_i L(-s_i)`` equals
-``L(-max_i s_i)``, and the negative group's subgradient row is the first row
-of its maximal score. One numerical caveat: for about 1% of ``delta`` values
+The grouped objective applies the hinge and its derivative once per group,
+not once per row: to the key row's margin for a positive group, and to
+``-max(scores)`` for a negative group. Because ``smoothed_hinge`` is
+non-increasing, ``max_i L(-s_i)`` equals ``L(-max_i s_i)``, and the negative
+group's subgradient row is the first row of its maximal score. One numerical caveat: for about 1% of ``delta`` values
 the float hinge rises by 1 ulp across the ``1 - 2 delta`` piece boundary (it
 never does at ``delta`` 0 or 0.5), so a group whose smallest margin lies
 within a few ulps of that boundary can differ by 1 ulp from the per-row
@@ -30,7 +34,8 @@ maximum of the loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -41,12 +46,24 @@ from .penalties import huber, huber_prime, smoothed_hinge, smoothed_hinge_prime
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """Objective total and its three summands."""
+    """Objective total and its three summands.
+
+    Values from :func:`eval_grouped` and :func:`eval_per_candidate` also
+    carry the point's (sub)gradient, which equality and ``repr`` ignore.
+    """
 
     total: float
     regularization_term: float
     positive_loss_term: float
     negative_loss_term: float
+    _gradient: Callable[[], GradientVector] | None = field(
+        default=None, compare=False, repr=False)
+
+    def gradient(self) -> GradientVector:
+        """The (sub)gradient at the point this value was evaluated at."""
+        if self._gradient is None:
+            raise ValueError("this ObjectiveValue was built without a gradient")
+        return self._gradient()
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +156,29 @@ def _class_terms(lam: float, pos_sum: float, n_pos: int, neg_sum: float,
     return pos, neg
 
 
+def _regularization_gradient(model: LinearModel, hp: Hyperparams) -> np.ndarray:
+    return (1.0 - hp.lam) / model.d * huber_prime(model.w, hp.epsilon)
+
+
+def _regularization_only(model: LinearModel, hp: Hyperparams) -> ObjectiveValue:
+    reg = _regularization(model, hp)
+    return ObjectiveValue(
+        reg, reg, 0.0, 0.0,
+        lambda: GradientVector(_regularization_gradient(model, hp), 0.0))
+
+
 def eval_per_candidate(model: LinearModel, data: Dataset,
                        hp: Hyperparams) -> ObjectiveValue:
-    """Evaluate the per-candidate objective (every row weighted equally per class)."""
+    """Evaluate the per-candidate objective (every row weighted equally per class).
+
+    The gradient reuses the margins: row ``i`` adds ``c_i = lam/n_class *
+    L'(margin_i) * y_i`` to the bias gradient and ``c_i x_i`` to the weight
+    gradient, one ``X.T @ c`` product. Rows at margin >= 1 drop out.
+    """
     _check_dims(model, data.d)
-    reg = _regularization(model, hp)
     if hp.lam == 0.0:
-        return ObjectiveValue(reg, reg, 0.0, 0.0)
+        return _regularization_only(model, hp)
+    reg = _regularization(model, hp)
     margins = data.labels * model.raw_scores(data.X)
     losses = smoothed_hinge(margins, hp.delta)
     pos_mask = data.labels == 1
@@ -155,85 +188,33 @@ def eval_per_candidate(model: LinearModel, data: Dataset,
         float(np.sum(losses[~pos_mask])), data.n_neg_rows,
         "candidate",
     )
-    return ObjectiveValue(reg + pos + neg, reg, pos, neg)
 
+    def gradient() -> GradientVector:
+        weights = np.where(pos_mask, hp.lam / data.n_pos_rows,
+                           hp.lam / data.n_neg_rows)
+        coeff = weights * smoothed_hinge_prime(margins, hp.delta) * data.labels
+        grad_w = _regularization_gradient(model, hp) + data.X.T @ coeff
+        return GradientVector(grad_w, float(np.sum(coeff)))
 
-def _grouped_sums(model: LinearModel, source, hp: Hyperparams):
-    """One pass over group blocks: key-candidate and per-group-max loss sums.
-
-    The hinge runs on one margin per group: the key row's score for a
-    positive group, minus the group's maximal score for a negative one.
-    """
-    pos_acc, neg_acc = _ChunkedSum(), _ChunkedSum()
-    n_pos = n_neg = 0
-    for block in source.iter_group_blocks():
-        scores = _fixed_order_scores(block.X, model.w, model.b)
-        neg_groups = block.labels[block.starts[:-1]] == -1
-        key_scores = scores[block.is_key]
-        neg_margins = -np.maximum.reduceat(scores, block.starts[:-1])[neg_groups]
-        losses = smoothed_hinge(np.concatenate([key_scores, neg_margins]), hp.delta)
-        pos_acc.add(losses[:key_scores.size])
-        neg_acc.add(losses[key_scores.size:])
-        n_neg += neg_margins.size
-        n_pos += neg_groups.size - neg_margins.size
-    return pos_acc.total(), n_pos, neg_acc.total(), n_neg
+    return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient)
 
 
 def eval_grouped(model: LinearModel, data, hp: Hyperparams) -> ObjectiveValue:
-    """Evaluate the grouped objective.
+    """Evaluate the grouped objective and, in the same pass, its subgradient.
 
     ``data`` may be an in-memory :class:`Dataset` or any source of
-    group-aligned blocks (e.g. a streaming binary reader); both produce
-    bit-identical values.
+    group-aligned blocks (e.g. a streaming binary reader, read once); both
+    give bit-identical results. Only key rows and each negative group's
+    maximal-score row carry subgradient coefficients; a tie resolves to the
+    group's first such row, one valid subgradient chosen deterministically.
     """
     _check_dims(model, data.d)
+    if hp.lam == 0.0:
+        return _regularization_only(model, hp)
     reg = _regularization(model, hp)
-    if hp.lam == 0.0:
-        return ObjectiveValue(reg, reg, 0.0, 0.0)
-    pos_sum, n_pos, neg_sum, n_neg = _grouped_sums(model, data, hp)
-    pos, neg = _class_terms(hp.lam, pos_sum, n_pos, neg_sum, n_neg, "group")
-    return ObjectiveValue(reg + pos + neg, reg, pos, neg)
-
-
-def gradient_per_candidate(model: LinearModel, data: Dataset,
-                           hp: Hyperparams) -> GradientVector:
-    """Gradient of :func:`eval_per_candidate`.
-
-    Each row contributes ``weight * L'(margin) * y`` to the bias gradient and
-    that coefficient times its feature vector to the weight gradient, where
-    ``weight`` is ``lam / n`` for its class. Rows at margin >= 1 drop out.
-    """
-    _check_dims(model, data.d)
-    grad_w = (1.0 - hp.lam) / model.d * huber_prime(model.w, hp.epsilon)
-    if hp.lam == 0.0:
-        return GradientVector(grad_w, 0.0)
-    if data.n_pos_rows == 0 or data.n_neg_rows == 0:
-        raise ConfigurationError("gradient with lam > 0 needs both classes")
-    margins = data.labels * model.raw_scores(data.X)
-    lprime = smoothed_hinge_prime(margins, hp.delta)
-    weights = np.where(data.labels == 1, hp.lam / data.n_pos_rows,
-                       hp.lam / data.n_neg_rows)
-    coeff = weights * lprime * data.labels
-    grad_w = grad_w + data.X.T @ coeff
-    return GradientVector(grad_w, float(np.sum(coeff)))
-
-
-def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVector:
-    """Subgradient of :func:`eval_grouped`.
-
-    Only key candidates (positive groups) and each negative group's
-    maximal-score candidate carry coefficients, and ``smoothed_hinge_prime``
-    runs on those margins only. Ties on the maximal score resolve to the
-    group's first such row, which selects one valid subgradient
-    deterministically.
-    """
-    _check_dims(model, data.d)
-    grad_w = (1.0 - hp.lam) / model.d * huber_prime(model.w, hp.epsilon)
-    if hp.lam == 0.0:
-        return GradientVector(grad_w, 0.0)
-    d = model.d
-    pos_w = np.zeros(d)
-    neg_w = np.zeros(d)
+    pos_acc, neg_acc = _ChunkedSum(), _ChunkedSum()
+    pos_w = np.zeros(model.d)
+    neg_w = np.zeros(model.d)
     pos_b = neg_b = 0.0
     n_pos = n_neg = 0
     for block in data.iter_group_blocks():
@@ -241,23 +222,37 @@ def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVe
         neg_groups = block.labels[block.starts[:-1]] == -1
         key_rows = np.flatnonzero(block.is_key)
         amax = _group_argmax(scores, block.starts)[neg_groups]
-        lprime = smoothed_hinge_prime(
-            np.concatenate([scores[key_rows], -scores[amax]]), hp.delta
-        )
+        margins = np.concatenate([scores[key_rows], -scores[amax]])
+        losses = smoothed_hinge(margins, hp.delta)
+        lprime = smoothed_hinge_prime(margins, hp.delta)
+        k = key_rows.size
+        pos_acc.add(losses[:k])
+        neg_acc.add(losses[k:])
         n_neg += amax.size
         n_pos += neg_groups.size - amax.size
+        # an empty gather adds +0.0, which leaves the sums' bits unchanged
+        pos_w += block.X[key_rows].T @ lprime[:k]
+        pos_b += float(np.sum(lprime[:k]))
+        neg_w += block.X[amax].T @ -lprime[k:]
+        neg_b += float(np.sum(-lprime[k:]))
+    pos, neg = _class_terms(hp.lam, pos_acc.total(), n_pos, neg_acc.total(),
+                            n_neg, "group")
 
-        if key_rows.size:
-            c = lprime[:key_rows.size]
-            pos_w += block.X[key_rows].T @ c
-            pos_b += float(np.sum(c))
+    def gradient() -> GradientVector:
+        grad_w = (_regularization_gradient(model, hp)
+                  + hp.lam / n_pos * pos_w + hp.lam / n_neg * neg_w)
+        grad_b = hp.lam / n_pos * pos_b + hp.lam / n_neg * neg_b
+        return GradientVector(grad_w, grad_b)
 
-        if amax.size:
-            c = -lprime[key_rows.size:]
-            neg_w += block.X[amax].T @ c
-            neg_b += float(np.sum(c))
-    if n_pos == 0 or n_neg == 0:
-        raise ConfigurationError("subgradient with lam > 0 needs both group classes")
-    grad_w = grad_w + hp.lam / n_pos * pos_w + hp.lam / n_neg * neg_w
-    grad_b = hp.lam / n_pos * pos_b + hp.lam / n_neg * neg_b
-    return GradientVector(grad_w, grad_b)
+    return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient)
+
+
+def gradient_per_candidate(model: LinearModel, data: Dataset,
+                           hp: Hyperparams) -> GradientVector:
+    """Gradient of :func:`eval_per_candidate`."""
+    return eval_per_candidate(model, data, hp).gradient()
+
+
+def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVector:
+    """Subgradient of :func:`eval_grouped`."""
+    return eval_grouped(model, data, hp).gradient()

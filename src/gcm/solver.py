@@ -1,6 +1,8 @@
 """Limited-memory quasi-Newton minimization with Armijo backtracking.
 
-Drives any (objective, gradient) callable pair over a flat parameter vector.
+Drives any ``value_and_grad`` callable over a flat parameter vector: one
+call prices a point, and the gradient there is asked for only at the start
+and at accepted steps, never at a rejected backtrack.
 The implementation is the standard two-loop recursion over the most recent
 curvature pairs, with the initial Hessian scaled by ``<s, y> / <y, y>``.
 The memory size and the line search are fixed module constants;
@@ -81,14 +83,16 @@ def _direction(grad, s_list, y_list, rho_list):
     return -q
 
 
-def minimize(objective_fn, gradient_fn, start, cfg: SolverConfig | None = None):
-    """Minimize ``objective_fn`` from ``start``.
+def minimize(value_and_grad, start, cfg: SolverConfig | None = None):
+    """Minimize the objective that ``value_and_grad`` prices, from ``start``.
 
     Parameters
     ----------
-    objective_fn, gradient_fn:
-        Callables over a 1-D float64 point; the gradient may be a subgradient
-        for non-smooth objectives, in which case a failed line search is a
+    value_and_grad:
+        Callable over a 1-D float64 point ``x`` returning ``(f, grad)``:
+        the objective value (a float) at ``x`` and a no-argument callable
+        giving the gradient at ``x``. The gradient may be a subgradient for
+        non-smooth objectives, in which case a failed line search is a
         benign terminal state near the optimum.
     start:
         Initial point; the objective must be finite there.
@@ -100,10 +104,10 @@ def minimize(objective_fn, gradient_fn, start, cfg: SolverConfig | None = None):
     """
     cfg = cfg or SolverConfig()
     x = np.array(start, dtype=np.float64).ravel()
-    f = float(objective_fn(x))
+    f, grad = value_and_grad(x)
     if not np.isfinite(f):
         raise NumericalError(f"objective is not finite at the start point: {f}")
-    g = np.asarray(gradient_fn(x), dtype=np.float64).ravel()
+    g = np.asarray(grad(), dtype=np.float64).ravel()
 
     history = [f]
     s_list: list[np.ndarray] = []
@@ -133,7 +137,7 @@ def minimize(objective_fn, gradient_fn, start, cfg: SolverConfig | None = None):
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * p
-            f_new = float(objective_fn(x_new))
+            f_new, grad = value_and_grad(x_new)
             if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * gtp:
                 accepted = True
                 break
@@ -142,7 +146,7 @@ def minimize(objective_fn, gradient_fn, start, cfg: SolverConfig | None = None):
             reason = Termination.LINE_SEARCH_FAILURE
             break
 
-        g_new = np.asarray(gradient_fn(x_new), dtype=np.float64).ravel()
+        g_new = np.asarray(grad(), dtype=np.float64).ravel()
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)

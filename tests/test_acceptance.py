@@ -175,7 +175,8 @@ def test_criterion_04_global_optimum_from_random_starts():
     finals = []
     for _ in range(5):
         start = rng.normal(size=6) * 3.0
-        point, _ = minimize(objective, gradient, start, cfg)
+        point, _ = minimize(
+            lambda p: (objective(p), lambda: gradient(p)), start, cfg)
         finals.append(objective(point))
     spread = (max(finals) - min(finals)) / abs(min(finals))
     assert spread <= 1e-6

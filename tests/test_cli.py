@@ -182,6 +182,28 @@ class TestTrain:
                 str(tmp_path / "m.json"), "--algo", "gcm", "--lambda", "1.5")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("lam", ["0", "1.0"])
+    def test_misvm_lambda_at_a_bound_is_usage_error(self, lam, easy_files,
+                                                    tmp_path):
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(tmp_path / "m.json"), "--algo", "misvm",
+                   "--lambda", lam) == 2
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_usage_error(self, threads, easy_files,
+                                                tmp_path):
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as err:
+            run("--threads", threads, "train", "--data", str(train_path),
+                "--model-out", str(tmp_path / "m.json"), "--algo", "gcm",
+                "--lambda", "0.5")
+        assert err.value.code == 2
+        assert set(tmp_path.iterdir()) == before
+
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("group_id,label,is_key,f1\n0,+1,0,1.0\n1,-1,0,0.0\n")

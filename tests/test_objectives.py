@@ -7,6 +7,7 @@ from gcm import (
     DimensionMismatchError,
     Hyperparams,
     LinearModel,
+    ObjectiveValue,
     eval_grouped,
     eval_per_candidate,
     gradient_per_candidate,
@@ -275,3 +276,23 @@ class TestObjectiveConvexity:
             a = float(rng.uniform())
             mid = a * p1 + (1 - a) * p2
             assert f(mid) <= a * f(p1) + (1 - a) * f(p2) + 1e-9
+
+
+class TestObjectiveValue:
+    def test_four_float_constructor_and_equality_ignore_the_gradient(self, rng):
+        bare = ObjectiveValue(1.0, 0.25, 0.5, 0.25)
+        assert bare == ObjectiveValue(1.0, 0.25, 0.5, 0.25)
+        assert repr(bare) == ("ObjectiveValue(total=1.0, regularization_term="
+                              "0.25, positive_loss_term=0.5, "
+                              "negative_loss_term=0.25)")
+        with pytest.raises(ValueError, match="without a gradient"):
+            bare.gradient()
+        ds = build_grouped_dataset(rng, 3, 4, 2, 4, 2)
+        model = LinearModel(rng.normal(size=2), 0.1)
+        hp = Hyperparams(lam=0.5)
+        for evaluate in (eval_grouped, eval_per_candidate):
+            value = evaluate(model, ds, hp)
+            assert value == ObjectiveValue(
+                value.total, value.regularization_term,
+                value.positive_loss_term, value.negative_loss_term)
+            assert value.gradient().grad_w.shape == (2,)
