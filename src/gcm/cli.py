@@ -8,10 +8,11 @@ manifest from them (``<output>.manifest.json``). The manifest's
 ``parameters`` hold every parsed flag under its argparse dest name (``lam``
 for ``--lambda``), plus ``spec`` (the resolved ``GeneratorSpec``) for
 ``synth`` and ``solver`` (the ``SolverConfig``) for ``train``. Beside them
-it records the SHA-256 of each input file, the wall clock and the command's
-results as top-level keys. Model and report files themselves contain
-nothing non-deterministic, so re-running the flags a manifest records
-reproduces them byte for byte.
+it records whether the ``--threads`` cap was applied (``threads_applied``,
+false where ``threadpoolctl`` is missing), the SHA-256 of each input file,
+the wall clock and the command's results as top-level keys. Model and
+report files themselves contain nothing non-deterministic, so re-running
+the flags a manifest records reproduces them byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -124,7 +125,7 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(args, output, inputs: dict, settings: dict,
-                    results: dict, started: float):
+                    results: dict, started: float, threads_applied: bool):
     """Write ``<output>.manifest.json`` for one finished command.
 
     ``inputs`` maps each input file to its SHA-256, or to None when the
@@ -135,6 +136,7 @@ def _write_manifest(args, output, inputs: dict, settings: dict,
         "command": args.command,
         "package_version": __version__,
         "parameters": {**flags, **settings},
+        "threads_applied": threads_applied,
         "dataset_sha256": {p: digest or _sha256(p) for p, digest in inputs.items()},
         "wall_clock_seconds": time.perf_counter() - started,
         **results,
@@ -358,13 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _thread_limit(threads: int):
+    """A context capping BLAS at ``threads``, and whether it applies the cap.
+
+    Without ``threadpoolctl`` the context does nothing.
+    """
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         if threads != 1:
             warnings.warn("threadpoolctl unavailable; --threads ignored")
-        return nullcontext()
-    return threadpool_limits(limits=threads)
+        return nullcontext(), False
+    return threadpool_limits(limits=threads), True
 
 
 def main(argv=None) -> int:
@@ -372,9 +378,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        with _thread_limit(args.threads):
+        limit, threads_applied = _thread_limit(args.threads)
+        with limit:
             run = args.func(args)
-        _write_manifest(args, *run, started)
+        _write_manifest(args, *run, started, threads_applied)
     except (DataFormatError, DimensionMismatchError, ConfigurationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

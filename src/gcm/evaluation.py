@@ -5,6 +5,15 @@ group is the unit of final classification. ROC curves sweep the distinct
 scores in descending order with all tied rows crossing the threshold
 together, and AUC is the trapezoid area, so it equals the concordant-pair
 count with ties worth one half.
+
+A curve is built from value sorts, never from an index sort: the runs of
+equal values in the sorted scores give one point per distinct score and the
+rows at or above it, and the sorted positive scores, placed among the run
+values, give the positives per run. Equality decides the runs, so tied
+``inf`` or ``-inf`` scores form one point like any other tie. A tied block
+of ``0.0`` and ``-0.0`` takes its threshold's sign from its row with the
+largest index. NaN scores, which have no place in the order, come after
+every other point, one point per row in row order.
 """
 
 from __future__ import annotations
@@ -105,22 +114,46 @@ def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
     """ROC points and trapezoidal AUC for +1/-1 labels.
 
     Returns an array of (fpr, tpr, threshold) rows starting at
-    (0, 0, inf); tied scores move across the threshold together.
+    (0, 0, inf), then one row per distinct non-NaN score, highest first,
+    counting every row that scores at or above it: tied scores (``inf``
+    and ``-inf`` included) move across the threshold together. A tied
+    block of ``0.0`` and ``-0.0`` takes its threshold's sign from the tied
+    row with the largest index. NaN scores come last, one row each, in row
+    order, with the row's own score as threshold. The AUC is the
+    trapezoid area over the integer counts, divided once at the end.
+
+    The runs of equal values in ``np.sort(scores)`` give the distinct
+    thresholds and the rows at or above each; one ``searchsorted`` of the
+    sorted positive scores into the run values counts the positives per
+    run.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    n_pos = int(np.count_nonzero(labels == 1))
+    is_pos = labels == 1
+    n_pos = int(np.count_nonzero(is_pos))
     n_neg = int(np.count_nonzero(labels == -1))
     if n_pos == 0 or n_neg == 0:
         raise ConfigurationError("ROC needs both labels present")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    pos = (labels[order] == 1).astype(np.int64)
-    block_ends = np.flatnonzero(np.diff(s)) if len(s) > 1 else np.empty(0, int)
-    block_ends = np.concatenate([block_ends, [len(s) - 1]]).astype(int)
-    tp = np.concatenate([[0], np.cumsum(pos)[block_ends]])
-    fp = np.concatenate([[0], block_ends + 1 - np.cumsum(pos)[block_ends]])
-    thresholds = np.concatenate([[np.inf], s[block_ends]])
+    is_nan = np.isnan(scores)
+    nan_rows = np.flatnonzero(is_nan)
+    s = np.sort(scores)[:len(scores) - len(nan_rows)]  # NaN sorts last
+    run_start = np.ones(len(s), dtype=bool)
+    run_start[1:] = s[1:] != s[:-1]  # unlike np.diff, inf == inf here
+    first = np.flatnonzero(run_start)
+    values = s[first]
+    # np.sort orders 0.0 and -0.0 arbitrarily; the last such row sets the sign
+    zero = np.searchsorted(values, 0.0)
+    if zero < len(values) and values[zero] == 0.0:
+        values[zero] = scores[np.flatnonzero(scores == 0.0)[-1]]
+    pos_per_run = np.bincount(
+        np.searchsorted(values, np.sort(scores[is_pos & ~is_nan])),
+        minlength=len(values))
+    rows_per_run = np.diff(np.append(first, len(s)))
+    # integer counts at each point, highest threshold first, NaN rows last
+    tp = np.cumsum(np.concatenate([[0], pos_per_run[::-1], is_pos[nan_rows]]))
+    fp = np.cumsum(np.concatenate(
+        [[0], rows_per_run[::-1], np.ones(len(nan_rows), np.int64)])) - tp
+    thresholds = np.concatenate([[np.inf], values[::-1], scores[nan_rows]])
     points = np.column_stack([fp / n_neg, tp / n_pos, thresholds])
     # trapezoid area over integer counts: exact up to the final division
     area = float(np.sum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1])))
@@ -129,27 +162,44 @@ def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
 
 
 def evaluate_model(model: LinearModel, data: Dataset) -> EvalReport:
-    """Candidate-level and group-level ROC/AUC for one model on one dataset."""
-    cand_roc, cand_auc = roc_auc(model.raw_scores(data.X), data.labels)
-    groups = score_groups(model, data)
+    """Candidate-level and group-level ROC/AUC for one model on one dataset.
+
+    The rows are scored once; each group's score is its maximal row score.
+    """
+    scores = model.raw_scores(data.X)
+    cand_roc, cand_auc = roc_auc(scores, data.labels)
     group_roc, group_auc = roc_auc(
-        [g.group_score for g in groups], [g.label for g in groups]
-    )
+        scores[_group_argmax(scores, data.group_starts)], data.group_labels)
     return EvalReport(cand_roc, cand_auc, group_roc, group_auc)
 
 
+#: Rows formatted per write, so a report never sits in memory whole.
+_REPORT_CHUNK_ROWS = 16384
+
+
 def write_report_csv(report: EvalReport, path):
-    """Serialize a report as CSV rows of ROC points plus a summary line."""
-    lines = ["level,fpr,tpr,threshold"]
-    for level, roc in (("candidate", report.candidate_roc),
-                       ("group", report.group_roc)):
-        # np.float64 subclasses float; float.__repr__ prints it as repr(float(x))
-        fpr, tpr, thr = (map(float.__repr__, col) for col in np.asarray(roc).T)
-        lines += [f"{level},{a},{b},{c}" for a, b, c in zip(fpr, tpr, thr)]
-    lines.append(
-        f"# auc candidate={report.candidate_auc!r} group={report.group_auc!r}"
-    )
-    _write_lines(path, lines)
+    """Serialize a report as CSV rows of ROC points plus a summary line.
+
+    Each level's points are formatted and written in chunks of
+    ``_REPORT_CHUNK_ROWS`` rows; the bytes do not depend on the chunk size.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("level,fpr,tpr,threshold\n")
+        for level, roc in (("candidate", report.candidate_roc),
+                           ("group", report.group_roc)):
+            fpr, tpr, thr = np.asarray(roc, dtype=np.float64).T
+            # tpr takes at most n_pos + 1 values: format each one once
+            tpr_values, tpr_index = np.unique(tpr, return_inverse=True)
+            tpr_text = [repr(v) for v in tpr_values.tolist()]
+            for lo in range(0, len(fpr), _REPORT_CHUNK_ROWS):
+                hi = lo + _REPORT_CHUNK_ROWS
+                fh.write("".join(
+                    f"{level},{a!r},{tpr_text[i]},{c!r}\n"
+                    for a, i, c in zip(fpr[lo:hi].tolist(),
+                                       tpr_index[lo:hi].tolist(),
+                                       thr[lo:hi].tolist())))
+        fh.write(f"# auc candidate={report.candidate_auc!r} "
+                 f"group={report.group_auc!r}\n")
 
 
 def write_groups_csv(groups: list[ScoredGroup], path):

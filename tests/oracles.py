@@ -8,6 +8,7 @@ None of it shares aggregation code with the package.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -99,6 +100,39 @@ def pair_count_auc(scores, labels) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def roc_points(scores, labels):
+    """ROC points and AUC by brute force over the distinct scores.
+
+    One point per distinct non-NaN score, highest first, counting every row
+    at or above it; a block of +0.0 and -0.0 takes the sign of its last
+    row. Then one point per NaN row in row order. The AUC is the trapezoid
+    area over the integer counts, divided once at the end.
+    """
+    scores = [float(s) for s in scores]
+    labels = [int(y) for y in labels]
+    n_pos, n_neg = labels.count(1), labels.count(-1)
+    counts = [(0, 0)]
+    thresholds = [math.inf]
+    for t in sorted({s for s in scores if not math.isnan(s)}, reverse=True):
+        tp = fp = 0
+        for s, y in zip(scores, labels):
+            if s >= t:
+                tp += y == 1
+                fp += y == -1
+        counts.append((fp, tp))
+        thresholds.append([s for s in scores if s == t][-1])
+    for s, y in zip(scores, labels):
+        if math.isnan(s):
+            fp, tp = counts[-1]
+            counts.append((fp + (y == -1), tp + (y == 1)))
+            thresholds.append(s)
+    points = [(fp / n_neg, tp / n_pos, t)
+              for (fp, tp), t in zip(counts, thresholds)]
+    area = sum((fp1 - fp0) * (tp1 + tp0)
+               for (fp0, tp0), (fp1, tp1) in zip(counts, counts[1:]))
+    return points, area / (2 * n_pos * n_neg)
 
 
 def enumerate_monomials(d: int, degree: int) -> set[tuple[int, ...]]:

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import sys
+import types
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,11 +13,14 @@ import gcm.cli
 from gcm import (
     Algorithm,
     GeneratorSpec,
+    Hyperparams,
+    LinearModel,
     fit_algorithm,
     generate,
     load_binary,
     load_model,
     save_binary,
+    save_model,
     save_text,
     train_mi_svm,
 )
@@ -255,6 +261,26 @@ class TestEvaluate:
                        str(test_path), "--report-out", str(r)) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        # a fixed model, not a trained one, so only evaluation is pinned;
+        # the candidate curve (20,284 points) spans two report chunks
+        data, model = tmp_path / "s.bin", tmp_path / "m.json"
+        assert run("synth", "--out", str(data), "--seed", "11",
+                   "--pos-groups", "10", "--neg-groups", "90", "--d", "3") == 0
+        save_model(model, LinearModel(np.array([0.5, -0.25, 1.0]), 0.125),
+                   Hyperparams(0.5, 1.0, 0.5))
+        report = tmp_path / "r.csv"
+        assert run("evaluate", "--model", str(model), "--data", str(data),
+                   "--report-out", str(report)) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (report, tmp_path / "r.csv.groups.csv")}
+        assert digests == {
+            "r.csv": "92cc81753f11dc0a51fd0f551a35cd19"
+                     "f5911c2b3d9a1f3a9a286bf9016aea97",
+            "r.csv.groups.csv": "dc9351a12a38076d2f0cfc2482ff701e"
+                                "ae10385193e6818d4c14445227850a11",
+        }
+
     def test_groups_csv_argmax_column(self, tmp_path):
         # one negative group with scores -1.0, 0.3, 2.2, -0.7 under w=1, b=0,
         # plus a positive singleton so both classes exist
@@ -437,6 +463,32 @@ class TestManifest:
             if not path.name.endswith(".manifest.json"):
                 assert (second / path.name).read_bytes() == path.read_bytes(), \
                     path.name
+
+
+class TestThreads:
+    def synth(self, tmp_path, *flags):
+        out = tmp_path / "s.bin"
+        assert run(*flags, "synth", "--out", str(out), "--pos-groups", "2",
+                   "--neg-groups", "3") == 0
+        return json.loads((tmp_path / "s.bin.manifest.json").read_text())
+
+    def test_cap_applied_with_threadpoolctl(self, tmp_path, monkeypatch):
+        seen = []
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits: seen.append(limits) or nullcontext()
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        manifest = self.synth(tmp_path, "--threads", "2")
+        assert seen == [2]
+        assert manifest["threads_applied"] is True
+        assert manifest["parameters"]["threads"] == 2
+
+    def test_cap_not_applied_without_threadpoolctl(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        with pytest.warns(UserWarning, match="--threads ignored"):
+            manifest = self.synth(tmp_path, "--threads", "2")
+        assert manifest["threads_applied"] is False
+        assert manifest["parameters"]["threads"] == 2
 
 
 class TestPipelineDeterminism:

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import gcm.evaluation
 from gcm import (
     Algorithm,
     ConfigurationError,
@@ -23,7 +28,23 @@ from gcm import (
     write_report_csv,
 )
 from conftest import build_grouped_dataset
-from oracles import pair_count_auc
+from oracles import pair_count_auc, roc_points
+
+
+@st.composite
+def tied_scores_and_labels(draw):
+    """Scores from a small pool (heavy ties, +-0.0, NaN) plus finite draws,
+    with at most one +inf and one -inf; both labels present."""
+    n = draw(st.integers(2, 24))
+    pool = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, math.nan])
+    scores = draw(st.lists(st.one_of(pool, st.floats(-3.0, 3.0)),
+                           min_size=n, max_size=n))
+    for inf in (math.inf, -math.inf):
+        if draw(st.booleans()):
+            scores[draw(st.integers(0, n - 1))] = inf
+    labels = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    assume(1 in labels and -1 in labels)
+    return scores, labels
 
 
 def score_fixture():
@@ -126,6 +147,43 @@ class TestRocAuc:
         assert np.all(np.diff(points[:, 1]) >= 0)
         assert np.all(np.diff(points[:, 2]) < 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores_and_labels())
+    def test_matches_roc_points_oracle(self, case):
+        scores, labels = case
+        points, auc = roc_auc(scores, labels)
+        want_points, want_auc = roc_points(scores, labels)
+        assert points.tobytes() == np.array(want_points).tobytes()
+        assert repr(auc) == repr(want_auc)
+
+    @pytest.mark.parametrize("labels", [[1, -1, -1], [-1, 1, -1]])
+    def test_tied_infinities_cross_together(self, labels):
+        points, auc = roc_auc([np.inf, np.inf, 0.0], labels)
+        assert auc == pair_count_auc([np.inf, np.inf, 0.0], labels) == 0.75
+        assert points[:, 2].tolist() == [np.inf, np.inf, 0.0]
+
+    def test_tied_infinities_match_pair_count_oracle(self):
+        for seed in range(20):
+            r = np.random.default_rng(seed)
+            scores = r.choice([-np.inf, -1.0, 0.0, 1.0, np.inf], size=25)
+            labels = r.choice([1, -1], size=25)
+            if len(set(labels.tolist())) < 2:
+                continue
+            _, auc = roc_auc(scores, labels)
+            assert auc == pair_count_auc(scores, labels)
+
+    def test_signed_zero_block_takes_last_rows_sign(self):
+        for scores, sign in (([0.0, -0.0, 1.0], -1.0), ([-0.0, 0.0, 1.0], 1.0)):
+            points, _ = roc_auc(scores, [1, -1, -1])
+            assert math.copysign(1.0, points[-1, 2]) == sign
+
+    def test_nan_rows_come_last_in_row_order(self):
+        points, auc = roc_auc([np.nan, 1.0, np.nan, -1.0], [-1, -1, 1, 1])
+        assert points[:, :2].tolist() == [
+            [0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [1.0, 0.5], [1.0, 1.0]]
+        assert np.isnan(points[3:, 2]).all()
+        assert auc == 0.25
+
     def test_group_auc_invariant_under_monotone_transform(self, rng):
         ds = build_grouped_dataset(rng, 5, 6, 2, 5, 3)
         model = LinearModel(rng.normal(size=3), 0.2)
@@ -135,6 +193,28 @@ class TestRocAuc:
         _, auc1 = roc_auc(raw, labels)
         _, auc2 = roc_auc(np.exp(raw / 2) + 3, labels)
         assert auc1 == pytest.approx(auc2, abs=1e-12)
+
+
+class TestEvaluateModel:
+    def test_scores_the_rows_once(self, rng, monkeypatch):
+        ds = build_grouped_dataset(rng, 4, 5, 2, 6, 3)
+        model = LinearModel(rng.normal(size=3), 0.1)
+        calls = []
+        raw_scores = LinearModel.raw_scores
+        monkeypatch.setattr(LinearModel, "raw_scores",
+                            lambda self, X: calls.append(X) or raw_scores(self, X))
+        evaluate_model(model, ds)
+        assert len(calls) == 1
+
+    def test_group_curve_is_over_score_groups(self, rng):
+        ds = build_grouped_dataset(rng, 5, 7, 1, 6, 3)
+        model = LinearModel(rng.normal(size=3), -0.2)
+        report = evaluate_model(model, ds)
+        groups = score_groups(model, ds)
+        points, auc = roc_auc([g.group_score for g in groups],
+                              [g.label for g in groups])
+        assert report.group_roc.tobytes() == points.tobytes()
+        assert repr(report.group_auc) == repr(auc)
 
 
 class TestFolds:
@@ -258,3 +338,27 @@ class TestReportCsv:
         text = p1.read_text()
         assert text.startswith("level,fpr,tpr,threshold\n")
         assert "# auc candidate=" in text.splitlines()[-1]
+
+    def test_matches_row_by_row_format(self, tmp_path, rng):
+        ds = build_grouped_dataset(rng, 4, 6, 2, 5, 3)
+        report = evaluate_model(LinearModel(rng.normal(size=3), 0.3), ds)
+        lines = ["level,fpr,tpr,threshold"]
+        for level, roc in (("candidate", report.candidate_roc),
+                           ("group", report.group_roc)):
+            lines += [f"{level},{float(a)!r},{float(b)!r},{float(c)!r}"
+                      for a, b, c in roc]
+        lines.append(f"# auc candidate={report.candidate_auc!r} "
+                     f"group={report.group_auc!r}")
+        path = tmp_path / "r.csv"
+        write_report_csv(report, path)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_bytes_do_not_depend_on_chunk_size(self, tmp_path, rng,
+                                                monkeypatch):
+        ds = build_grouped_dataset(rng, 4, 6, 2, 5, 3)
+        report = evaluate_model(LinearModel(rng.normal(size=3), 0.3), ds)
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        write_report_csv(report, whole)
+        monkeypatch.setattr(gcm.evaluation, "_REPORT_CHUNK_ROWS", 3)
+        write_report_csv(report, chunked)
+        assert chunked.read_bytes() == whole.read_bytes()
