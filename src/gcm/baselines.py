@@ -2,11 +2,14 @@
 
 MI-SVM (Andrews et al., NIPS 2002) is an alternating heuristic: it ignores
 key annotations, guesses which candidate represents each positive group,
-retrains, and repeats until the selection stops changing. Each inner problem
-is the shared per-candidate objective at the caller's hyperparameters, so
-the classic trade-off constant C corresponds to ``lam = C / (1 + C)``. The
-per-candidate SVM baseline needs no code of its own: it is
-:func:`~gcm.train.train_per_candidate` with ``delta = 0``.
+retrains, and repeats until the selection stops changing. One loop runs
+every outer iteration: the first represents each positive group by its mean
+feature vector and solves from the zero model, each later one takes the row
+the previous model scores highest and warm-starts from that model. Each
+inner problem is the shared per-candidate objective at the caller's
+hyperparameters, so the classic trade-off constant C corresponds to
+``lam = C / (1 + C)``. The per-candidate SVM baseline needs no code of its
+own: it is :func:`~gcm.train.train_per_candidate` with ``delta = 0``.
 """
 
 from __future__ import annotations
@@ -67,18 +70,17 @@ def train_mi_svm(data: Dataset, hp: Hyperparams,
     starts = data.group_starts
     pos_group_ids = data.group_ids[starts[pos]]
 
-    means = np.stack([data.X[np.arange(starts[k], starts[k + 1])].mean(axis=0)
-                      for k in pos])
-    model, _ = train_per_candidate(_inner_dataset(data, means, pos_group_ids),
-                                   hp, cfg)
-    outer = 1
-    selected = _group_argmax(model.raw_scores(data.X), starts)[pos]
-    converged = False
+    # rows by np.arange, not a slice: a slice sums in another order
+    features = np.stack([
+        data.X[np.arange(starts[k], starts[k + 1])].mean(axis=0) for k in pos])
+    selected = np.full(len(pos), -1, dtype=np.int64)  # no row selected yet
+    model, outer, converged = None, 0, False
     while outer < max_outer and not converged:
-        inner = _inner_dataset(data, data.X[selected], pos_group_ids)
+        inner = _inner_dataset(data, features, pos_group_ids)
         model, _ = train_per_candidate(inner, hp, cfg, start=model)
         outer += 1
         previous = selected
         selected = _group_argmax(model.raw_scores(data.X), starts)[pos]
         converged = np.array_equal(selected, previous)
+        features = data.X[selected]
     return model, selected, outer, converged

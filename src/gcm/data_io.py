@@ -261,16 +261,11 @@ def load_binary(path) -> Dataset:
                    _group_ids(records, path), records["is_key"])
 
 
-def load_dataset(path, fmt: str = "auto") -> Dataset:
-    """Load a dataset file; ``fmt`` is ``text``, ``binary`` or ``auto``."""
-    if fmt == "auto":
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == BINARY_MAGIC else "text"
-    if fmt == "binary":
-        return load_binary(path)
-    if fmt == "text":
-        return load_text(path)
-    raise MalformedRecordError(f"unknown dataset format {fmt!r}")
+def load_dataset(path) -> Dataset:
+    """Load a dataset file: binary if it starts with the magic, else text."""
+    with open(path, "rb") as fh:
+        is_binary = fh.read(4) == BINARY_MAGIC
+    return load_binary(path) if is_binary else load_text(path)
 
 
 # -- model persistence -----------------------------------------------------------

@@ -111,7 +111,7 @@ def score_groups(model: LinearModel, data: Dataset) -> list[ScoredGroup]:
 
 
 def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
-    """ROC points and trapezoidal AUC for +1/-1 labels.
+    """ROC points and trapezoidal AUC for +1/-1 labels (others raise).
 
     Returns an array of (fpr, tpr, threshold) rows starting at
     (0, 0, inf), then one row per distinct non-NaN score, highest first,
@@ -132,6 +132,10 @@ def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
     is_pos = labels == 1
     n_pos = int(np.count_nonzero(is_pos))
     n_neg = int(np.count_nonzero(labels == -1))
+    if n_pos + n_neg != labels.size:
+        i = int(np.flatnonzero((labels != 1) & (labels != -1))[0])
+        raise DomainError(
+            f"labels must be +1 or -1, got {labels[i].item()!r} at index {i}")
     if n_pos == 0 or n_neg == 0:
         raise ConfigurationError("ROC needs both labels present")
     is_nan = np.isnan(scores)
@@ -266,6 +270,17 @@ def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
     }
 
 
+def _shuffled_group_ids(data: Dataset, seed: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Positive, then negative group ids, shuffled in turn by one generator."""
+    rng = np.random.default_rng(seed)
+    ids = data.group_ids[data.group_starts[:-1]]  # ascending: rows sort by group
+    pos, neg = ids[data.group_labels == 1], ids[data.group_labels == -1]
+    rng.shuffle(pos)
+    rng.shuffle(neg)
+    return pos, neg
+
+
 def make_group_folds(data: Dataset, plan: CvPlan) -> list[np.ndarray]:
     """Deal shuffled group ids round-robin into folds, per polarity."""
     if plan.folds > data.n_groups:
@@ -273,16 +288,9 @@ def make_group_folds(data: Dataset, plan: CvPlan) -> list[np.ndarray]:
             f"{plan.folds} folds need at least that many groups, "
             f"got {data.n_groups}"
         )
-    rng = np.random.default_rng(plan.seed)
-    starts = data.group_starts[:-1]
-    fold_ids: list[list[int]] = [[] for _ in range(plan.folds)]
-    for polarity in (1, -1):
-        ids = data.group_ids[starts][data.group_labels == polarity]
-        ids = np.sort(ids)
-        rng.shuffle(ids)
-        for i, gid in enumerate(ids):
-            fold_ids[i % plan.folds].append(int(gid))
-    return [np.array(sorted(ids), dtype=np.int64) for ids in fold_ids]
+    pos, neg = _shuffled_group_ids(data, plan.seed)
+    return [np.sort(np.concatenate([pos[k::plan.folds], neg[k::plan.folds]]))
+            for k in range(plan.folds)]
 
 
 def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
@@ -346,16 +354,11 @@ def split_groups(data: Dataset, train_fraction: float, seed: int
     """Deterministic polarity-stratified train/test split at group level."""
     if not 0.0 < train_fraction < 1.0:
         raise DomainError("train_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    starts = data.group_starts[:-1]
-    train_ids: list[int] = []
-    test_ids: list[int] = []
-    for polarity in (1, -1):
-        ids = np.sort(data.group_ids[starts][data.group_labels == polarity])
-        rng.shuffle(ids)
-        cut = int(round(train_fraction * len(ids)))
-        train_ids.extend(int(g) for g in ids[:cut])
-        test_ids.extend(int(g) for g in ids[cut:])
-    if not train_ids or not test_ids:
+    pos, neg = _shuffled_group_ids(data, seed)
+    n_pos = int(round(train_fraction * len(pos)))
+    n_neg = int(round(train_fraction * len(neg)))
+    train_ids = np.concatenate([pos[:n_pos], neg[:n_neg]])
+    test_ids = np.concatenate([pos[n_pos:], neg[n_neg:]])
+    if not train_ids.size or not test_ids.size:
         raise ConfigurationError("split produced an empty side")
     return data.subset_groups(train_ids), data.subset_groups(test_ids)

@@ -15,22 +15,19 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError
 from .model import Dataset
 
 
 @dataclass(frozen=True)
 class ExpansionSpec:
-    """Expansion degree plus an optional output-dimension cap."""
+    """Expansion degree: monomials of total degree 1..degree."""
 
     degree: int
-    max_output_features: int | None = None
 
     def __post_init__(self):
         if self.degree < 1:
             raise DomainError("degree must be >= 1")
-        if self.max_output_features is not None and self.max_output_features < 1:
-            raise DomainError("max_output_features must be >= 1")
 
 
 def expanded_dimension(d: int, degree: int) -> int:
@@ -71,11 +68,6 @@ def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
     out_dim = expanded_dimension(d, spec.degree)
-    if spec.max_output_features is not None and out_dim > spec.max_output_features:
-        raise ConfigurationError(
-            f"expansion needs {out_dim} output features, which exceeds the "
-            f"cap of {spec.max_output_features}"
-        )
     cols = np.empty((X.shape[0], out_dim), dtype=np.float64, order="F")
     for i, exps in enumerate(monomial_exponents(d, spec.degree)):
         col = np.ones(X.shape[0], dtype=np.float64)

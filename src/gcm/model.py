@@ -287,18 +287,6 @@ class Dataset:
     def n_groups(self) -> int:
         return len(self.group_starts) - 1
 
-    @property
-    def group_index(self) -> dict[int, tuple[int, np.ndarray]]:
-        """Map group id -> (polarity, row indices in within-group input order)."""
-        out = {}
-        for k in range(self.n_groups):
-            lo, hi = self.group_starts[k], self.group_starts[k + 1]
-            out[int(self.group_ids[lo])] = (
-                int(self.group_labels[k]),
-                np.arange(lo, hi),
-            )
-        return out
-
     def subset_groups(self, keep_ids) -> "Dataset":
         """Return a new dataset with only the given group ids."""
         keep = np.isin(self.group_ids, np.asarray(list(keep_ids), dtype=np.int64))

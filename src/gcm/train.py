@@ -1,8 +1,12 @@
 """Training entry points: grouped and per-candidate minimization.
 
-Both start from the zero model (the objectives are convex, so the start
-affects only the iteration count) and pack ``(w, b)`` into one flat vector
-for the solver, which takes each accepted point's gradient from the
+Both trainers run one solve, :func:`_train`, and differ only in the
+objective it prices. ``train_gcm`` starts from the zero model;
+``train_per_candidate`` starts from ``start`` when one is given (MI-SVM
+warm-starts each inner problem from the previous model) and from zero
+otherwise. The objectives are convex, so the start affects only the
+iteration count. The solve packs ``(w, b)`` into one flat vector for the
+solver, which takes each accepted point's gradient from the
 :class:`~gcm.objectives.ObjectiveValue` of the pass that priced it.
 """
 
@@ -23,37 +27,39 @@ def _unpack(point: np.ndarray) -> LinearModel:
     return LinearModel(w=point[:-1], b=float(point[-1]))
 
 
-def _warn_unregularized(hp: Hyperparams):
-    if hp.lam == 1.0:
-        warnings.warn(
-            "lam=1 disables regularization; on separable data the infimum may "
-            "not be attained and the run is bounded only by the iteration cap",
-            stacklevel=3,
-        )
-
-
 def train_per_candidate(data: Dataset, hp: Hyperparams,
                         cfg: SolverConfig | None = None,
                         start: LinearModel | None = None
                         ) -> tuple[LinearModel, SolveTrace]:
     """Minimize the per-candidate objective over ``data``."""
-    _warn_unregularized(hp)
-    point, trace = minimize(
-        lambda p: _priced(eval_per_candidate(_unpack(p), data, hp)),
-        _start_point(data.d, start),
-        cfg,
-    )
-    return _unpack(point), trace
+    return _train(eval_per_candidate, data, hp, cfg, start)
 
 
 def train_gcm(data: Dataset, hp: Hyperparams,
               cfg: SolverConfig | None = None
               ) -> tuple[LinearModel, SolveTrace]:
     """Minimize the grouped objective (key positives, max-loss negatives)."""
-    _warn_unregularized(hp)
+    return _train(eval_grouped, data, hp, cfg, None)
+
+
+def _train(objective, data: Dataset, hp: Hyperparams,
+           cfg: SolverConfig | None, start: LinearModel | None
+           ) -> tuple[LinearModel, SolveTrace]:
+    """Minimize ``objective(model, data, hp)`` from ``start`` or zero.
+
+    The caller passes the objective it looked up at call time, so a patched
+    module attribute is the one that runs.
+    """
+    if hp.lam == 1.0:
+        warnings.warn(
+            "lam=1 disables regularization; on separable data the infimum may "
+            "not be attained and the run is bounded only by the iteration cap",
+            stacklevel=3,
+        )
     point, trace = minimize(
-        lambda p: _priced(eval_grouped(_unpack(p), data, hp)),
-        _start_point(data.d, None),
+        lambda p: _priced(objective(_unpack(p), data, hp)),
+        np.zeros(data.d + 1) if start is None
+        else np.concatenate([start.w, [start.b]]),
         cfg,
     )
     return _unpack(point), trace
@@ -65,9 +71,3 @@ def _priced(value: ObjectiveValue):
         g = value.gradient()
         return np.concatenate([g.grad_w, [g.grad_b]])
     return value.total, grad
-
-
-def _start_point(d: int, start: LinearModel | None) -> np.ndarray:
-    if start is None:
-        return np.zeros(d + 1)
-    return np.concatenate([start.w, [start.b]])

@@ -120,11 +120,10 @@ class TestMiSvm:
         model, selected, _, _ = train_mi_svm(
             ds, Hyperparams(2.0 / 3.0, MISVM_INNER_EPSILON, 0.0))
         scores = model.raw_scores(ds.X)
-        pos_ids = ds.group_ids[ds.group_starts[:-1]][ds.group_labels == 1]
-        for gid, row in zip(pos_ids, selected):
-            _, rows = ds.group_index[gid]
-            assert ds.group_ids[row] == gid
-            assert scores[row] == np.max(scores[rows])
+        starts = ds.group_starts
+        for k, row in zip(np.flatnonzero(ds.group_labels == 1), selected):
+            assert starts[k] <= row < starts[k + 1]
+            assert scores[row] == np.max(scores[starts[k]:starts[k + 1]])
 
     def test_key_forced_inner_matches_grouped_positive_term(self, rng):
         # singleton negative groups: the grouped objective equals the
@@ -153,6 +152,22 @@ class TestMiSvm:
                 grouped_val = eval_grouped(model, inner, hp).total
                 flat_val = eval_per_candidate(model, inner, hp).total
                 assert grouped_val == pytest.approx(flat_val, rel=1e-9)
+
+    @pytest.mark.parametrize("max_outer, selected, outer, converged", [
+        (1, [1, 4, 10, 15, 17, 20], 1, False),
+        (2, [1, 4, 10, 12, 19, 20], 2, False),
+        (3, [1, 4, 10, 12, 19, 20], 3, True),
+        (50, [1, 4, 10, 12, 19, 20], 3, True),
+    ])
+    def test_pinned_selection_and_exit(self, max_outer, selected, outer,
+                                       converged):
+        # every selected row wins its group by at least 0.05 in score, so
+        # the rows do not hinge on the last bits of the BLAS sums
+        ds = build_grouped_dataset(np.random.default_rng(6), 6, 10, 2, 6, 3)
+        _, got, got_outer, got_converged = train_mi_svm(
+            ds, Hyperparams(0.5, MISVM_INNER_EPSILON, 0.0), max_outer=max_outer)
+        assert got.tolist() == selected
+        assert (got_outer, got_converged) == (outer, converged)
 
     def test_no_positive_groups_rejected(self):
         ds = Dataset(np.zeros((3, 1)), [-1, -1, -1], [0, 1, 2],

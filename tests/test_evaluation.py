@@ -73,9 +73,10 @@ class TestScoreGroups:
         ds = build_grouped_dataset(rng, 4, 5, 2, 6, 3)
         model = LinearModel(rng.normal(size=3), 0.1)
         scores = model.raw_scores(ds.X)
-        for g in score_groups(model, ds):
-            _, rows = ds.group_index[g.group_id]
-            assert g.group_score == np.max(scores[rows])
+        starts = ds.group_starts
+        for k, g in enumerate(score_groups(model, ds)):
+            assert g.group_id == ds.group_ids[starts[k]]
+            assert g.group_score == np.max(scores[starts[k]:starts[k + 1]])
 
     def test_tie_takes_lowest_row(self):
         X = np.array([[1.0], [1.0]])
@@ -90,8 +91,11 @@ class TestScoreGroups:
         argmax = {g.group_id: g.argmax_row for g in score_groups(model, ds)}
         keep = np.ones(ds.n_rows, dtype=bool)
         victim = None
-        for gid, (_, rows) in ds.group_index.items():
-            others = [r for r in rows if r != argmax[gid] and not ds.is_key[r]]
+        starts = ds.group_starts
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            gid = int(ds.group_ids[lo])
+            others = [r for r in range(lo, hi)
+                      if r != argmax[gid] and not ds.is_key[r]]
             if others:
                 victim = (gid, others[0])
                 break
@@ -136,6 +140,19 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ConfigurationError):
             roc_auc([1.0, 2.0], [1, 1])
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_label_other_than_plus_minus_one_rejected(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad} at index 2"):
+            roc_auc([1.0, 2.0, 3.0], [1, -1, bad])
+
+    def test_dataset_labels_accepted(self, rng):
+        ds = build_grouped_dataset(rng, 3, 4, 2, 3, 2)
+        scores = rng.normal(size=ds.n_rows)
+        for s, labels in ((scores, ds.labels),
+                          (scores[ds.group_starts[:-1]], ds.group_labels)):
+            _, auc = roc_auc(s, labels)
+            assert auc == pytest.approx(pair_count_auc(s, labels), abs=1e-12)
 
     def test_curve_shape(self, rng):
         scores = rng.normal(size=50)
@@ -225,7 +242,8 @@ class TestFolds:
         all_ids = np.concatenate(folds)
         assert sorted(all_ids.tolist()) == sorted(
             set(ds.group_ids.tolist()))
-        gid_to_label = {g: p for g, (p, _) in ds.group_index.items()}
+        gid_to_label = dict(zip(ds.group_ids[ds.group_starts[:-1]].tolist(),
+                                ds.group_labels.tolist()))
         pos_counts = [sum(1 for g in f if gid_to_label[int(g)] == 1)
                       for f in folds]
         neg_counts = [sum(1 for g in f if gid_to_label[int(g)] == -1)
@@ -246,6 +264,31 @@ class TestFolds:
         ds = build_grouped_dataset(rng, 2, 2, 1, 2, 2)
         with pytest.raises(ConfigurationError):
             make_group_folds(ds, CvPlan(folds=5, seed=0))
+
+    def test_pinned_folds_and_splits(self):
+        # shuffles are PCG64 permutations, so the ids are the same on every
+        # CPU; positive groups carry the highest ids, so polarity is by label
+        base = build_grouped_dataset(np.random.default_rng(6), 6, 10, 2, 6, 3)
+        ds = Dataset(base.X, base.labels, 3 * (base.n_groups - base.group_ids),
+                     base.is_key)
+        folds = {seed: [f.tolist() for f in
+                        make_group_folds(ds, CvPlan(folds=4, seed=seed))]
+                 for seed in range(3)}
+        assert folds == {
+            0: [[12, 15, 27, 33, 42], [9, 21, 24, 36, 39], [3, 6, 48],
+                [18, 30, 45]],
+            1: [[3, 6, 12, 45, 48], [15, 21, 30, 33, 42], [18, 24, 39],
+                [9, 27, 36]],
+            2: [[9, 15, 30, 33, 42], [18, 24, 27, 36, 48], [3, 12, 39],
+                [6, 21, 45]],
+        }
+        splits = {seed: [np.unique(side.group_ids).tolist()
+                         for side in split_groups(ds, 0.6, seed)]
+                  for seed in range(2)}
+        assert splits == {
+            0: [[3, 9, 12, 15, 18, 24, 39, 42, 45, 48], [6, 21, 27, 30, 33, 36]],
+            1: [[6, 9, 12, 15, 21, 24, 33, 36, 39, 45], [3, 18, 27, 30, 42, 48]],
+        }
 
     def test_plan_validation(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,6 @@ import pytest
 
 from gcm import (
     AffineScaler,
-    ConfigurationError,
     Dataset,
     DimensionMismatchError,
     DomainError,
@@ -79,11 +78,6 @@ class TestExpand:
                 for wj, e in zip(model.w, exps)
             )
             assert scores[i] == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-    def test_cap_exceeded_names_required_dimension(self, rng):
-        ds = build_grouped_dataset(rng, 1, 1, 1, 2, 4)
-        with pytest.raises(ConfigurationError, match="69"):
-            expand(ds, ExpansionSpec(degree=4, max_output_features=50))
 
     def test_bad_degree_rejected(self):
         with pytest.raises(DomainError):

@@ -111,14 +111,6 @@ class TestDatasetStructure:
         assert ds.X[3, 0] == 0.0 and ds.X[4, 0] == 4.0
         assert ds.n_pos_groups == 1 and ds.n_neg_groups == 2
 
-    def test_group_index(self):
-        ds = Dataset(np.zeros((3, 1)), [1, 1, -1], [4, 4, 9],
-                     [True, False, False])
-        idx = ds.group_index
-        assert set(idx) == {4, 9}
-        polarity, rows = idx[4]
-        assert polarity == 1 and list(rows) == [0, 1]
-
     def test_counts_are_groups_not_rows(self, rng):
         ds = build_grouped_dataset(rng, 3, 4, 2, 5, 2)
         assert ds.n_pos_groups == 3 and ds.n_neg_groups == 4
