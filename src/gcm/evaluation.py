@@ -59,12 +59,14 @@ class ScoredGroup:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """ROC points (fpr, tpr, threshold) and AUC at both levels."""
+    """ROC points (fpr, tpr, threshold) and AUC at both levels, plus
+    ``scores``: the raw row scores that both curves were built from."""
 
     candidate_roc: np.ndarray
     candidate_auc: float
     group_roc: np.ndarray
     group_auc: float
+    scores: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,9 @@ class LambdaCvResult:
     folds_used: int
 
 
-def score_groups(model: LinearModel, data: Dataset) -> list[ScoredGroup]:
-    """Per group, the maximal raw score and its row (lowest index on ties)."""
-    scores = model.raw_scores(data.X)
+def score_groups(scores: np.ndarray, data: Dataset) -> list[ScoredGroup]:
+    """Per group, the maximal row of ``scores`` (one raw score per row of
+    ``data``, e.g. :attr:`EvalReport.scores`) and its index, lowest on ties."""
     amax = _group_argmax(scores, data.group_starts)
     return [
         ScoredGroup(
@@ -129,6 +131,9 @@ def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise DomainError(f"scores and labels differ in shape: "
+                          f"{scores.shape} and {labels.shape}")
     is_pos = labels == 1
     n_pos = int(np.count_nonzero(is_pos))
     n_neg = int(np.count_nonzero(labels == -1))
@@ -174,7 +179,7 @@ def evaluate_model(model: LinearModel, data: Dataset) -> EvalReport:
     cand_roc, cand_auc = roc_auc(scores, data.labels)
     group_roc, group_auc = roc_auc(
         scores[_group_argmax(scores, data.group_starts)], data.group_labels)
-    return EvalReport(cand_roc, cand_auc, group_roc, group_auc)
+    return EvalReport(cand_roc, cand_auc, group_roc, group_auc, scores)
 
 
 #: Rows formatted per write, so a report never sits in memory whole.
@@ -304,15 +309,17 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
     The selection metric is group-level AUC for the grouped algorithms and
     candidate-level AUC for the per-candidate ones; both are reported for
     every grid point. Folds partition groups (never rows), stratified by
-    polarity. A fold whose training or validation side is single-class is
-    skipped with a warning; ties on the metric resolve to the earliest grid
-    point. Deterministic given ``plan.seed``.
+    polarity; one loop visits them, fitting the whole grid on each, so only
+    one fold's training and validation subsets are held at a time. A fold
+    whose training or validation side is single-class is skipped with a
+    warning; ties on the metric resolve to the earliest grid point.
+    Deterministic given ``plan.seed``.
     """
     folds = make_group_folds(data, plan)
-    all_ids = np.concatenate(folds)
-    splits = []
+    group_aucs = [[] for _ in plan.lambda_grid]
+    cand_aucs = [[] for _ in plan.lambda_grid]
     for k, valid_ids in enumerate(folds):
-        train_ids = np.setdiff1d(all_ids, valid_ids)
+        train_ids = np.concatenate(folds[:k] + folds[k + 1:])
         if len(train_ids) == 0 or len(valid_ids) == 0:
             warnings.warn(f"fold {k} is empty on one side; skipping")
             continue
@@ -322,25 +329,21 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
                valid_data.n_pos_groups, valid_data.n_neg_groups) == 0:
             warnings.warn(f"fold {k} has a single class; skipping")
             continue
-        splits.append((train_data, valid_data))
-    if not splits:
-        raise ConfigurationError("every cross-validation fold was skipped")
-
-    results = []
-    for lam in plan.lambda_grid:
-        group_aucs, cand_aucs = [], []
-        for train_data, valid_data in splits:
+        for i, lam in enumerate(plan.lambda_grid):
             model, _ = fit_algorithm(algo, train_data, lam, epsilon, delta,
                                      solver_cfg, misvm_max_outer)
             report = evaluate_model(model, valid_data)
-            group_aucs.append(report.group_auc)
-            cand_aucs.append(report.candidate_auc)
-        results.append(LambdaCvResult(
-            lam=lam,
-            mean_group_auc=float(np.mean(group_aucs)),
-            mean_candidate_auc=float(np.mean(cand_aucs)),
-            folds_used=len(splits),
-        ))
+            group_aucs[i].append(report.group_auc)
+            cand_aucs[i].append(report.candidate_auc)
+    folds_used = len(group_aucs[0])
+    if not folds_used:
+        raise ConfigurationError("every cross-validation fold was skipped")
+    results = [
+        LambdaCvResult(lam=lam, mean_group_auc=float(np.mean(g)),
+                       mean_candidate_auc=float(np.mean(c)),
+                       folds_used=folds_used)
+        for lam, g, c in zip(plan.lambda_grid, group_aucs, cand_aucs)
+    ]
     use_group = algo in GROUP_METRIC_ALGORITHMS
     best = max(
         results,

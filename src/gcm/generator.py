@@ -56,8 +56,11 @@ class GeneratorSpec:
             raise DomainError("need 1 <= group_size_min <= group_size_max")
         if self.d < 1 or (self.decoy_shift != 0.0 and self.d < 2):
             raise DomainError("d must be >= 1 (>= 2 when decoys are enabled)")
-        if not self.noise_scale > 0.0:
-            raise DomainError("noise_scale must be > 0")
+        if not 0.0 < self.noise_scale < np.inf:
+            raise DomainError("noise_scale must be finite and > 0")
+        if not np.isfinite([self.key_shift, self.outlier_shift,
+                            self.decoy_shift]).all():
+            raise DomainError("key, outlier and decoy shifts must be finite")
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise DomainError("outlier_rate must be in [0, 1]")
 

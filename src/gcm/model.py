@@ -27,6 +27,7 @@ from .errors import (
     MixedLabelGroupError,
     MultipleKeysError,
 )
+from .penalties import _check_delta, _check_epsilon
 
 #: Row budget per group-aligned block; one block always holds whole groups.
 DEFAULT_BLOCK_ROWS = 65536
@@ -46,8 +47,8 @@ class Hyperparams:
     """Shared objective hyperparameters.
 
     ``lam`` trades regularization against training loss and must lie in
-    [0, 1]. ``epsilon`` (> 0) is the Huber width for the weight penalty.
-    ``delta`` (>= 0) is the smoothed-hinge width; 0 means the exact hinge.
+    [0, 1]. ``epsilon`` (finite, > 0) is the weight penalty's Huber width;
+    ``delta`` (finite, >= 0) the smoothed hinge's, 0 meaning the exact hinge.
     """
 
     lam: float
@@ -57,10 +58,8 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"lam must be in [0, 1], got {self.lam}")
-        if not self.epsilon > 0.0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.delta < 0.0:
-            raise DomainError(f"delta must be >= 0, got {self.delta}")
+        _check_epsilon(self.epsilon)
+        _check_delta(self.delta)
 
 
 @dataclass(frozen=True, eq=False)

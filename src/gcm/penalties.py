@@ -13,13 +13,13 @@ from .errors import DomainError
 
 
 def _check_epsilon(epsilon: float):
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:
+        raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
 def _check_delta(delta: float):
-    if delta < 0.0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
 
 
 def _maybe_scalar(out: np.ndarray, scalar: bool):

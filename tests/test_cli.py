@@ -80,6 +80,10 @@ class TestSynth:
         ("--d", "0"),
         ("--group-size-min", "0", "--group-size-max", "0"),
         ("--pos-groups", "0"),
+        ("--key-shift", "nan"),
+        ("--key-shift", "inf"),
+        ("--decoy-shift", "nan"),
+        ("--outlier-shift=-inf",),
     ])
     def test_invalid_spec_is_usage_error(self, preset, flags, tmp_path):
         preset_flags = ("--preset", preset) if preset else ()
@@ -181,12 +185,23 @@ class TestTrain:
                 "--grad-tol", "1e-3")
         assert err.value.code == 2
 
-    def test_lambda_out_of_range_is_usage_error(self, easy_files, tmp_path):
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "1.5"),
+        ("--delta", "nan"),
+        ("--delta", "inf"),
+        ("--epsilon", "nan"),
+        ("--epsilon", "inf"),
+    ], ids=lambda v: v.lstrip("-"))
+    def test_out_of_range_flag_is_usage_error(self, flag, value, easy_files,
+                                              tmp_path):
         train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
         with pytest.raises(SystemExit) as err:
             run("train", "--data", str(train_path), "--model-out",
-                str(tmp_path / "m.json"), "--algo", "gcm", "--lambda", "1.5")
+                str(tmp_path / "m.json"), "--algo", "gcm", "--lambda", "0.5",
+                flag, value)
         assert err.value.code == 2
+        assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("lam", ["0", "1.0"])
     def test_misvm_lambda_at_a_bound_is_usage_error(self, lam, easy_files,
@@ -281,6 +296,19 @@ class TestEvaluate:
                                 "ae10385193e6818d4c14445227850a11",
         }
 
+    def test_scores_the_rows_once(self, easy_files, tmp_path, monkeypatch):
+        train_path, test_path = easy_files
+        model_out = tmp_path / "m.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "gcm", "--lambda", "0.5") == 0
+        calls = []
+        raw_scores = LinearModel.raw_scores
+        monkeypatch.setattr(LinearModel, "raw_scores",
+                            lambda self, X: calls.append(X) or raw_scores(self, X))
+        assert run("evaluate", "--model", str(model_out), "--data",
+                   str(test_path), "--report-out", str(tmp_path / "r.csv")) == 0
+        assert len(calls) == 1
+
     def test_groups_csv_argmax_column(self, tmp_path):
         # one negative group with scores -1.0, 0.3, 2.2, -0.7 under w=1, b=0,
         # plus a positive singleton so both classes exist
@@ -348,6 +376,15 @@ class TestCv:
             run("cv", "--data", str(train_path), "--algo", "gcm",
                 "--folds", "1", "--report-out", str(tmp_path / "cv.csv"))
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["0.5,1.0", "nan", ","])
+    def test_bad_lambda_grid_is_usage_error(self, grid, easy_files, tmp_path):
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        assert run("cv", "--data", str(train_path), "--algo", "gcm",
+                   "--lambda-grid", grid, "--report-out",
+                   str(tmp_path / "cv.csv")) == 2
+        assert set(tmp_path.iterdir()) == before
 
     def test_small_grid_runs_and_reports(self, easy_files, tmp_path):
         train_path, _ = easy_files

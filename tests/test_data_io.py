@@ -376,6 +376,14 @@ class TestGenerator:
             GeneratorSpec(seed=0, n_pos_groups=0, n_neg_groups=5)
         assert err.type is DomainError
 
+    @pytest.mark.parametrize("field", ["key_shift", "outlier_shift",
+                                       "decoy_shift", "noise_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_shift_or_scale_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            GeneratorSpec(seed=0, n_pos_groups=1, n_neg_groups=1,
+                          **{field: value})
+
     def test_key_rows_shifted(self):
         spec = GeneratorSpec(seed=3, n_pos_groups=30, n_neg_groups=5,
                              group_size_min=5, group_size_max=8, d=3,

@@ -57,7 +57,7 @@ def score_fixture():
 class TestScoreGroups:
     def test_group_score_is_max(self):
         ds, model = score_fixture()
-        groups = score_groups(model, ds)
+        groups = score_groups(model.raw_scores(ds.X), ds)
         assert len(groups) == 1
         assert groups[0].group_score == 2.2
         assert groups[0].argmax_row == 2
@@ -65,7 +65,7 @@ class TestScoreGroups:
     def test_singleton_group(self, rng):
         ds = Dataset(rng.normal(size=(1, 2)), [-1], [0], [False])
         model = LinearModel(rng.normal(size=2), 0.5)
-        g = score_groups(model, ds)[0]
+        g = score_groups(model.raw_scores(ds.X), ds)[0]
         assert g.group_score == pytest.approx(
             float(model.raw_scores(ds.X)[0]), rel=1e-15)
 
@@ -74,21 +74,23 @@ class TestScoreGroups:
         model = LinearModel(rng.normal(size=3), 0.1)
         scores = model.raw_scores(ds.X)
         starts = ds.group_starts
-        for k, g in enumerate(score_groups(model, ds)):
+        for k, g in enumerate(score_groups(scores, ds)):
             assert g.group_id == ds.group_ids[starts[k]]
             assert g.group_score == np.max(scores[starts[k]:starts[k + 1]])
 
     def test_tie_takes_lowest_row(self):
         X = np.array([[1.0], [1.0]])
         ds = Dataset(X, [-1, -1], [0, 0], [False, False])
-        g = score_groups(LinearModel(np.array([1.0]), 0.0), ds)[0]
+        scores = LinearModel(np.array([1.0]), 0.0).raw_scores(ds.X)
+        g = score_groups(scores, ds)[0]
         assert g.argmax_row == 0
 
     def test_removing_non_argmax_candidate_keeps_score(self, rng):
         ds = build_grouped_dataset(rng, 2, 3, 3, 5, 2)
         model = LinearModel(rng.normal(size=2), 0.0)
-        before = {g.group_id: g.group_score for g in score_groups(model, ds)}
-        argmax = {g.group_id: g.argmax_row for g in score_groups(model, ds)}
+        groups = score_groups(model.raw_scores(ds.X), ds)
+        before = {g.group_id: g.group_score for g in groups}
+        argmax = {g.group_id: g.argmax_row for g in groups}
         keep = np.ones(ds.n_rows, dtype=bool)
         victim = None
         starts = ds.group_starts
@@ -103,7 +105,8 @@ class TestScoreGroups:
         keep[victim[1]] = False
         smaller = Dataset(ds.X[keep], ds.labels[keep], ds.group_ids[keep],
                           ds.is_key[keep])
-        after = {g.group_id: g.group_score for g in score_groups(model, smaller)}
+        after = {g.group_id: g.group_score
+                 for g in score_groups(model.raw_scores(smaller.X), smaller)}
         assert after[victim[0]] == before[victim[0]]
 
 
@@ -145,6 +148,12 @@ class TestRocAuc:
     def test_label_other_than_plus_minus_one_rejected(self, bad):
         with pytest.raises(DomainError, match=f"got {bad} at index 2"):
             roc_auc([1.0, 2.0, 3.0], [1, -1, bad])
+
+    @pytest.mark.parametrize("n_scores, n_labels", [(2, 3), (3, 2)])
+    def test_length_mismatch_rejected(self, n_scores, n_labels):
+        with pytest.raises(DomainError,
+                           match=fr"\({n_scores},\) and \({n_labels},\)"):
+            roc_auc([1.0, 2.0, 3.0][:n_scores], [1, -1, -1][:n_labels])
 
     def test_dataset_labels_accepted(self, rng):
         ds = build_grouped_dataset(rng, 3, 4, 2, 3, 2)
@@ -204,7 +213,7 @@ class TestRocAuc:
     def test_group_auc_invariant_under_monotone_transform(self, rng):
         ds = build_grouped_dataset(rng, 5, 6, 2, 5, 3)
         model = LinearModel(rng.normal(size=3), 0.2)
-        groups = score_groups(model, ds)
+        groups = score_groups(model.raw_scores(ds.X), ds)
         raw = np.array([g.group_score for g in groups])
         labels = [g.label for g in groups]
         _, auc1 = roc_auc(raw, labels)
@@ -227,7 +236,8 @@ class TestEvaluateModel:
         ds = build_grouped_dataset(rng, 5, 7, 1, 6, 3)
         model = LinearModel(rng.normal(size=3), -0.2)
         report = evaluate_model(model, ds)
-        groups = score_groups(model, ds)
+        assert report.scores.tobytes() == model.raw_scores(ds.X).tobytes()
+        groups = score_groups(report.scores, ds)
         points, auc = roc_auc([g.group_score for g in groups],
                               [g.label for g in groups])
         assert report.group_roc.tobytes() == points.tobytes()
@@ -335,6 +345,42 @@ class TestCrossValidate:
                       seed=4)
         best, _ = cross_validate(ds, Algorithm.GCM_NOGROUP, plan)
         assert best < 0.99
+
+    def test_single_class_fold_is_skipped(self):
+        # 4 positive groups dealt into 5 folds: fold 4 validates no positive;
+        # the other folds' AUCs differ by lambda and by training set; with
+        # 0.6 first, reversing or rotating the grid moves its group AUCs
+        ds = generate(GeneratorSpec(seed=1, n_pos_groups=4, n_neg_groups=12,
+                                    group_size_min=3, group_size_max=6, d=3,
+                                    key_shift=1.5))
+        plan = CvPlan(folds=5, lambda_grid=(0.6, 0.3, 0.9), seed=2)
+        with pytest.warns(UserWarning, match="fold 4 has a single class"):
+            best, results = cross_validate(ds, Algorithm.GCM, plan)
+        # reference: every lambda over every usable fold, lambda outermost
+        folds = make_group_folds(ds, plan)
+        all_ids = np.concatenate(folds)
+        splits = [(ds.subset_groups(np.setdiff1d(all_ids, f)),
+                   ds.subset_groups(f)) for f in folds[:4]]
+        expected = []
+        for lam in plan.lambda_grid:
+            reports = [evaluate_model(fit_algorithm(Algorithm.GCM, tr, lam)[0],
+                                      va) for tr, va in splits]
+            expected.append(gcm.evaluation.LambdaCvResult(
+                lam, float(np.mean([r.group_auc for r in reports])),
+                float(np.mean([r.candidate_auc for r in reports])), 4))
+        assert repr(results) == repr(expected)
+        assert best == max(expected, key=lambda r: r.mean_group_auc).lam
+
+    def test_every_fold_skipped_fits_nothing(self, monkeypatch):
+        # one positive group: each fold lacks positives on one side
+        ds = build_grouped_dataset(np.random.default_rng(4), 1, 6, 1, 3, 2)
+        fits = []
+        monkeypatch.setattr(gcm.evaluation, "fit_algorithm",
+                            lambda *a, **k: fits.append(a))
+        with pytest.warns(UserWarning, match="single class"), \
+                pytest.raises(ConfigurationError, match="every"):
+            cross_validate(ds, Algorithm.GCM, CvPlan(folds=2, seed=0))
+        assert fits == []
 
 
 class TestFitAlgorithm:

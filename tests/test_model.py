@@ -35,6 +35,12 @@ class TestHyperparams:
         with pytest.raises(DomainError):
             Hyperparams(lam=0.5, delta=-0.01)
 
+    @pytest.mark.parametrize("width", ["epsilon", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_width_rejected(self, width, value):
+        with pytest.raises(DomainError, match=f"{width} must be finite"):
+            Hyperparams(lam=0.5, **{width: value})
+
 
 class TestLinearModel:
     def test_nonfinite_rejected(self):

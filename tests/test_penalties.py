@@ -22,7 +22,7 @@ class TestHuber:
         assert huber(0.5, 1.0) == 0.125
 
     def test_rejects_nonpositive_epsilon(self):
-        for eps in (0.0, -1.0):
+        for eps in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(DomainError):
                 huber(1.0, eps)
             with pytest.raises(DomainError):
@@ -94,10 +94,11 @@ class TestSmoothedHinge:
         assert np.array_equal(smoothed_hinge(t, 0.0), np.maximum(0.0, 1.0 - t))
 
     def test_rejects_negative_delta(self):
-        with pytest.raises(DomainError):
-            smoothed_hinge(0.0, -0.1)
-        with pytest.raises(DomainError):
-            smoothed_hinge_prime(0.0, -0.1)
+        for delta in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                smoothed_hinge(0.0, delta)
+            with pytest.raises(DomainError):
+                smoothed_hinge_prime(0.0, delta)
 
     @given(t=finite, delta=st.floats(min_value=1e-6, max_value=10.0))
     def test_within_delta_of_hinge(self, t, delta):
