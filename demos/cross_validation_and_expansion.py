@@ -10,10 +10,10 @@ from gcm import (
     CvPlan,
     Dataset,
     ExpansionSpec,
+    FeaturePipeline,
     Hyperparams,
     cross_validate,
     evaluate_model,
-    expand,
     monomial_names,
     train_per_candidate,
 )
@@ -61,9 +61,12 @@ def expansion_demo():
     spec = ExpansionSpec(degree=2)
     print("monomials:", ", ".join(monomial_names(2, spec.degree)))
     linear_model, _ = train_per_candidate(train, hp)
-    lifted_model, _ = train_per_candidate(expand(train, spec), hp)
+    # the pipeline fit on the training rows lifts the test rows the same way
+    pipeline, lifted_train = FeaturePipeline.fit(train, spec)
+    lifted_model, _ = train_per_candidate(lifted_train, hp)
     lin_auc = evaluate_model(linear_model, test).candidate_auc
-    poly_auc = evaluate_model(lifted_model, expand(test, spec)).candidate_auc
+    poly_auc = evaluate_model(lifted_model,
+                              pipeline.apply(test)).candidate_auc
     print(f"linear features : candidate AUC = {lin_auc:.3f}")
     print(f"degree-2 lift   : candidate AUC = {poly_auc:.3f}")
 

@@ -43,7 +43,6 @@ from .evaluation import (
     DEFAULT_LAMBDA_GRID,
     EvalReport,
     LambdaCvResult,
-    ScoredGroup,
     cross_validate,
     evaluate_model,
     fit_algorithm,
@@ -57,7 +56,7 @@ from .evaluation import (
 from .expansion import (
     AffineScaler,
     ExpansionSpec,
-    expand,
+    FeaturePipeline,
     expand_matrix,
     expanded_dimension,
     monomial_exponents,
@@ -90,15 +89,15 @@ __all__ = [
     "AffineScaler", "Algorithm", "BinaryDatasetReader", "ConfigurationError",
     "CvPlan", "DEFAULT_DELTA", "DEFAULT_EPSILON", "DEFAULT_LAMBDA_GRID",
     "DataFormatError", "Dataset", "DimensionMismatchError", "DomainError",
-    "EvalReport", "ExpansionSpec", "GcmError", "GeneratorSpec",
-    "GradientVector", "GroupBlock", "Hyperparams", "LambdaCvResult",
-    "LinearModel", "MalformedRecordError", "MissingKeyError",
-    "MixedLabelGroupError", "MultipleKeysError", "NumericalError",
-    "ObjectiveValue", "PRESETS", "SavedModel", "ScoredGroup",
+    "EvalReport", "ExpansionSpec", "FeaturePipeline", "GcmError",
+    "GeneratorSpec", "GradientVector", "GroupBlock", "Hyperparams",
+    "LambdaCvResult", "LinearModel", "MalformedRecordError",
+    "MissingKeyError", "MixedLabelGroupError", "MultipleKeysError",
+    "NumericalError", "ObjectiveValue", "PRESETS", "SavedModel",
     "SolveTrace", "SolverConfig", "Termination",
     "UnsortedGroupError", "VersionMismatchError",
     "cross_validate", "easy_spec", "eval_grouped", "eval_per_candidate",
-    "evaluate_model", "expand", "expand_matrix", "expanded_dimension",
+    "evaluate_model", "expand_matrix", "expanded_dimension",
     "fit_algorithm", "generate", "gradient_per_candidate",
     "hard_negatives_spec", "huber", "huber_prime", "load_binary",
     "load_dataset", "load_model", "load_text", "make_group_folds", "minimize",

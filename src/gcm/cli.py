@@ -38,14 +38,7 @@ from .data_io import (
     save_model,
     save_text,
 )
-from .errors import (
-    ConfigurationError,
-    DataFormatError,
-    DimensionMismatchError,
-    DomainError,
-    GcmError,
-    NumericalError,
-)
+from .errors import DomainError, GcmError, NumericalError
 from .evaluation import (
     Algorithm,
     CvPlan,
@@ -60,7 +53,7 @@ from .evaluation import (
     write_groups_csv,
     write_report_csv,
 )
-from .expansion import AffineScaler, ExpansionSpec, expand
+from .expansion import ExpansionSpec, FeaturePipeline
 from .generator import GeneratorSpec, PRESETS, generate
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON
 from .solver import SolverConfig
@@ -182,21 +175,13 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    data = load_dataset(args.data)
     digest = _sha256(args.data)
     solver_cfg = SolverConfig(max_iterations=args.max_iterations)
     algo = Algorithm(args.algo)
-
-    expansion = None
-    input_d = data.d
-    if args.expand_degree is not None:
-        expansion = ExpansionSpec(degree=args.expand_degree)
-        data = expand(data, expansion)
-    scaler = None
-    if args.standardize:
-        scaler = AffineScaler.fit(data)
-        data = scaler.transform(data)
-
+    expansion = (None if args.expand_degree is None
+                 else ExpansionSpec(degree=args.expand_degree))
+    pipeline, data = FeaturePipeline.fit(load_dataset(args.data), expansion,
+                                         args.standardize)
     model, details = fit_algorithm(algo, data, args.lam, args.epsilon,
                                    args.delta, solver_cfg, args.misvm_max_outer)
     results = {k: v for k, v in details.items() if k != "selector"}
@@ -209,29 +194,17 @@ def cmd_train(args):
         **results,
     }
     hp = training_hyperparams(algo, args.lam, args.epsilon, args.delta)
-    save_model(args.model_out, model, hp, expansion=expansion, input_d=input_d,
-               scaler=scaler, provenance=provenance)
+    save_model(args.model_out, model, hp, pipeline=pipeline,
+               provenance=provenance)
     print(f"trained {args.algo} model -> {args.model_out} "
           f"({results['termination_reason']})")
     return (args.model_out, {args.data: digest},
             {"solver": solver_cfg.__dict__}, results)
 
 
-def _apply_saved_pipeline(saved, data):
-    if saved.expansion is not None:
-        if data.d != saved.input_d:
-            raise DimensionMismatchError(saved.input_d, data.d, "expansion input")
-        data = expand(data, saved.expansion)
-    if saved.scaler is not None:
-        data = saved.scaler.transform(data)
-    if data.d != saved.model.d:
-        raise DimensionMismatchError(saved.model.d, data.d, "model input")
-    return data
-
-
 def cmd_evaluate(args):
     saved = load_model(args.model)
-    data = _apply_saved_pipeline(saved, load_dataset(args.data))
+    data = saved.pipeline.apply(load_dataset(args.data))
     report = evaluate_model(saved.model, data)
     write_report_csv(report, args.report_out)
     groups_out = args.groups_out or f"{args.report_out}.groups.csv"
@@ -376,9 +349,6 @@ def main(argv=None) -> int:
         with limit:
             run = args.func(args)
         _write_manifest(args, *run, started, threads_applied)
-    except (DataFormatError, DimensionMismatchError, ConfigurationError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -386,7 +356,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GcmError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the rest: a bad or unreadable file, or data unfit for the run
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK
 

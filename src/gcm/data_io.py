@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     MalformedRecordError,
     UnsortedGroupError,
     VersionMismatchError,
 )
-from .expansion import AffineScaler, ExpansionSpec, monomial_exponents
+from .expansion import (AffineScaler, ExpansionSpec, FeaturePipeline,
+                        monomial_exponents)
 from .model import (
     DEFAULT_BLOCK_ROWS,
     Dataset,
@@ -174,9 +176,10 @@ class BinaryDatasetReader:
     :func:`~gcm.model.validate_groups` as :class:`Dataset`, so a broken group
     invariant raises the same error type, located at ``group <id> in
     <path>``. Each block's features are a column-major copy, as in
-    :class:`Dataset`, and a NaN feature raises :class:`MalformedRecordError`
-    at the same location. Memory stays bounded by one read chunk plus two
-    blocks, where a group larger than the block budget counts as a block.
+    :class:`Dataset`, and a NaN or infinite feature raises
+    :class:`MalformedRecordError` at the same location. Memory stays bounded
+    by one read chunk plus two blocks, where a group larger than the block
+    budget counts as a block.
     """
 
     def __init__(self, path, read_chunk_rows: int = DEFAULT_BLOCK_ROWS):
@@ -273,23 +276,27 @@ def load_dataset(path) -> Dataset:
 
 @dataclass(frozen=True)
 class SavedModel:
-    """A trained model plus everything needed to apply it."""
+    """A trained model, its hyperparameters, and the feature pipeline it
+    applies behind; the model's width must be the pipeline's output width."""
 
     model: LinearModel
     hyperparams: Hyperparams
-    expansion: ExpansionSpec | None
-    input_d: int
-    scaler: AffineScaler | None
+    pipeline: FeaturePipeline
     provenance: dict
+
+    def __post_init__(self):
+        if self.model.d != self.pipeline.output_d:
+            raise DomainError(f"model has {self.model.d} weights, its feature "
+                              f"pipeline outputs {self.pipeline.output_d}")
 
 
 def save_model(path, model: LinearModel, hyperparams: Hyperparams, *,
-               expansion: ExpansionSpec | None = None,
-               input_d: int | None = None,
-               scaler: AffineScaler | None = None,
+               pipeline: FeaturePipeline | None = None,
                provenance: dict | None = None):
-    """Persist a model with its hyperparameters and feature pipeline."""
-    input_d = model.d if input_d is None else input_d
+    """Persist a model with its hyperparameters and feature pipeline; no
+    pipeline means the identity on the model's features."""
+    pipeline = FeaturePipeline(model.d) if pipeline is None else pipeline
+    saved = SavedModel(model, hyperparams, pipeline, provenance or {})
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -301,18 +308,17 @@ def save_model(path, model: LinearModel, hyperparams: Hyperparams, *,
             "epsilon": hyperparams.epsilon,
             "delta": hyperparams.delta,
         },
-        "expansion": None if expansion is None else {
-            "degree": expansion.degree,
-            "input_d": input_d,
-            "feature_order": [
-                list(e) for e in monomial_exponents(input_d, expansion.degree)
-            ],
+        "expansion": None if pipeline.expansion is None else {
+            "degree": pipeline.expansion.degree,
+            "input_d": pipeline.input_d,
+            "feature_order": [list(e) for e in monomial_exponents(
+                pipeline.input_d, pipeline.expansion.degree)],
         },
-        "scaler": None if scaler is None else {
-            "shift": [float(v) for v in scaler.shift],
-            "scale": [float(v) for v in scaler.scale],
+        "scaler": None if pipeline.scaler is None else {
+            "shift": [float(v) for v in pipeline.scaler.shift],
+            "scale": [float(v) for v in pipeline.scaler.scale],
         },
-        "provenance": provenance or {},
+        "provenance": saved.provenance,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
@@ -320,7 +326,8 @@ def save_model(path, model: LinearModel, hyperparams: Hyperparams, *,
 
 
 def load_model(path) -> SavedModel:
-    """Load a model file, checking format, version, fields and monomial order."""
+    """Load a model file; a bad format, version or field (the monomial
+    order included) raises a :class:`DataFormatError` located at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -335,35 +342,22 @@ def load_model(path) -> SavedModel:
     try:
         model = LinearModel(w=np.array(doc["w"], dtype=np.float64), b=doc["b"])
         if model.d != doc["d"]:
-            raise MalformedRecordError("weight count disagrees with d", str(path))
+            raise DomainError("weight count disagrees with d")
         hp = doc["hyperparams"]
-        hyperparams = Hyperparams(hp["lambda"], hp["epsilon"], hp["delta"])
-        expansion = None
-        input_d = model.d
-        if doc.get("expansion"):
-            expansion = ExpansionSpec(degree=doc["expansion"]["degree"])
-            input_d = doc["expansion"]["input_d"]
-            recorded = [tuple(e) for e in doc["expansion"]["feature_order"]]
-            if recorded != monomial_exponents(input_d, expansion.degree):
-                raise MalformedRecordError(
-                    "recorded monomial order differs from the expansion's",
-                    str(path),
-                )
-        scaler = None
-        if doc.get("scaler"):
-            scaler = AffineScaler(
-                np.array(doc["scaler"]["shift"], dtype=np.float64),
-                np.array(doc["scaler"]["scale"], dtype=np.float64),
-            )
-    except (KeyError, TypeError) as exc:
-        # a required field is missing or holds the wrong kind of value
+        lift, scaler = doc.get("expansion"), doc.get("scaler")
+        pipeline = FeaturePipeline(
+            lift["input_d"] if lift else model.d,
+            ExpansionSpec(lift["degree"]) if lift else None,
+            AffineScaler(scaler["shift"], scaler["scale"]) if scaler else None)
+        saved = SavedModel(
+            model, Hyperparams(hp["lambda"], hp["epsilon"], hp["delta"]),
+            pipeline, doc.get("provenance", {}))
+        # last, so that the weight count bounds the order's length
+        if lift and [tuple(e) for e in lift["feature_order"]] != \
+                monomial_exponents(lift["input_d"], lift["degree"]):
+            raise DomainError("recorded monomial order is not the expansion's")
+    except (KeyError, TypeError, ValueError) as exc:
+        # missing, of the wrong kind, or out of range (a DomainError)
         raise MalformedRecordError(
             f"model field missing or malformed: {exc}", str(path)) from None
-    return SavedModel(
-        model=model,
-        hyperparams=hyperparams,
-        expansion=expansion,
-        input_d=input_d,
-        scaler=scaler,
-        provenance=doc.get("provenance", {}),
-    )
+    return saved

@@ -47,16 +47,6 @@ class Algorithm(enum.Enum):
 GROUP_METRIC_ALGORITHMS = frozenset({Algorithm.GCM, Algorithm.MISVM})
 
 
-@dataclass(frozen=True)
-class ScoredGroup:
-    """Max raw score over one group's candidates and where it was attained."""
-
-    group_id: int
-    label: int
-    group_score: float
-    argmax_row: int
-
-
 @dataclass(frozen=True, eq=False)
 class EvalReport:
     """ROC points (fpr, tpr, threshold) and AUC at both levels, plus
@@ -97,19 +87,14 @@ class LambdaCvResult:
     folds_used: int
 
 
-def score_groups(scores: np.ndarray, data: Dataset) -> list[ScoredGroup]:
-    """Per group, the maximal row of ``scores`` (one raw score per row of
-    ``data``, e.g. :attr:`EvalReport.scores`) and its index, lowest on ties."""
+def score_groups(scores: np.ndarray, data: Dataset
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per group of ``data``: its id, its label, its maximal row of
+    ``scores`` (one raw score per row, e.g. :attr:`EvalReport.scores`) and
+    that row's index, lowest on ties; four arrays in group order."""
     amax = _group_argmax(scores, data.group_starts)
-    return [
-        ScoredGroup(
-            group_id=int(data.group_ids[data.group_starts[k]]),
-            label=int(data.group_labels[k]),
-            group_score=float(scores[amax[k]]),
-            argmax_row=int(amax[k]),
-        )
-        for k in range(data.n_groups)
-    ]
+    return (data.group_ids[data.group_starts[:-1]], data.group_labels,
+            scores[amax], amax)
 
 
 def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
@@ -211,10 +196,11 @@ def write_report_csv(report: EvalReport, path):
                  f"group={report.group_auc!r}\n")
 
 
-def write_groups_csv(groups: list[ScoredGroup], path):
-    """Serialize per-group scores: one row per group, argmax row included."""
+def write_groups_csv(groups, path):
+    """Serialize :func:`score_groups`' arrays, one row per group."""
     _write_lines(path, ["group_id,label,group_score,argmax_row"] + [
-        f"{g.group_id},{g.label},{g.group_score!r},{g.argmax_row}" for g in groups])
+        f"{gid},{label},{score!r},{row}"
+        for gid, label, score, row in zip(*(a.tolist() for a in groups))])
 
 
 def _write_lines(path, lines):

@@ -1,22 +1,24 @@
-"""Polynomial feature lift: all monomials up to a degree, classifier stays linear.
+"""Feature pipeline: a polynomial lift, then a per-feature standardizer.
 
-The constant monomial is excluded because the bias plays that role. Monomials
-are ordered graded-lexicographically (degree 1 first, then within each degree
-the enumeration of ``itertools.combinations_with_replacement``), and the
-order is recorded alongside trained models so pipelines cannot disagree
-silently.
+The lift maps each row to all monomials up to a degree, so the classifier
+stays linear. The constant monomial is excluded because the bias plays that
+role. Monomials are ordered graded-lexicographically (degree 1 first, then
+within each degree the enumeration of
+``itertools.combinations_with_replacement``), and the order is recorded
+alongside trained models so pipelines cannot disagree silently.
+:class:`FeaturePipeline` owns the composition and its width checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
-from .model import Dataset
+from .errors import DimensionMismatchError, DomainError, NumericalError
+from .model import Dataset, _reject_nonfinite
 
 
 @dataclass(frozen=True)
@@ -78,21 +80,11 @@ def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
     return cols
 
 
-def expand(data: Dataset, spec: ExpansionSpec) -> Dataset:
-    """Replace each row's features with its monomial vector."""
-    return Dataset(
-        features=expand_matrix(data.X, spec),
-        labels=data.labels,
-        group_ids=data.group_ids,
-        is_key=data.is_key,
-    )
-
-
 class AffineScaler:
-    """Optional per-feature standardizer: ``(x - shift) / scale``.
+    """Per-feature standardizer: ``(x - shift) / scale``.
 
-    Fit on the training split only; no scaling is ever applied implicitly.
-    Constant features get scale 1 so they pass through unchanged.
+    Fit on the training split only; both vectors must be finite and
+    ``scale`` nonzero. Constant features get scale 1 so they pass through.
     """
 
     def __init__(self, shift: np.ndarray, scale: np.ndarray):
@@ -100,22 +92,70 @@ class AffineScaler:
         self.scale = np.asarray(scale, dtype=np.float64)
         if self.shift.shape != self.scale.shape or self.shift.ndim != 1:
             raise DomainError("shift and scale must be matching vectors")
+        if not np.isfinite(self.shift).all() or not np.isfinite(self.scale).all():
+            raise DomainError("shift and scale must be finite")
         if np.any(self.scale == 0.0):
             raise DomainError("scale entries must be nonzero")
 
     @classmethod
-    def fit(cls, data: Dataset) -> "AffineScaler":
-        shift = data.X.mean(axis=0)
-        scale = data.X.std(axis=0)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        return cls(shift, scale)
+    def fit(cls, X: np.ndarray) -> "AffineScaler":
+        """Column means and standard deviations of the matrix ``X``."""
+        shift, scale = X.mean(axis=0), X.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(shift) & np.isfinite(scale)))
+        if bad.size:
+            raise NumericalError(f"feature {bad[0] + 1}'s mean or standard "
+                                 "deviation is not finite")
+        return cls(shift, np.where(scale == 0.0, 1.0, scale))
 
-    def transform(self, data: Dataset) -> Dataset:
-        if data.d != self.shift.shape[0]:
-            raise DimensionMismatchError(self.shift.shape[0], data.d, "scaler")
-        return Dataset(
-            features=(data.X - self.shift) / self.scale,
-            labels=data.labels,
-            group_ids=data.group_ids,
-            is_key=data.is_key,
-        )
+
+@dataclass(frozen=True, eq=False)
+class FeaturePipeline:
+    """Lift rows of ``input_d`` features by ``expansion``, then scale them by
+    ``scaler`` (each when set; the scaler is as wide as the lifted rows).
+    The identity pipeline, with neither, returns its input unchanged."""
+
+    input_d: int
+    expansion: ExpansionSpec | None = None
+    scaler: AffineScaler | None = None
+
+    def __post_init__(self):
+        if self.input_d < 1:
+            raise DomainError(f"input_d must be >= 1, got {self.input_d}")
+        if self.scaler is not None and len(self.scaler.shift) != self.output_d:
+            raise DomainError(f"scaler has {len(self.scaler.shift)} features, "
+                              f"the pipeline outputs {self.output_d}")
+
+    @property
+    def output_d(self) -> int:
+        if self.expansion is None:
+            return self.input_d
+        return expanded_dimension(self.input_d, self.expansion.degree)
+
+    @classmethod
+    def fit(cls, data: Dataset, expansion: ExpansionSpec | None = None,
+            standardize: bool = False) -> tuple["FeaturePipeline", Dataset]:
+        """The pipeline for ``data`` (its scaler, if ``standardize``, fit on
+        the lifted rows) and ``data`` transformed by it."""
+        return cls(data.d, expansion)._run(data, standardize)
+
+    def apply(self, data: Dataset) -> Dataset:
+        """``data`` lifted, then scaled."""
+        return self._run(data)[1]
+
+    def _run(self, data: Dataset, fit_scaler: bool = False):
+        if data.d != self.input_d:
+            raise DimensionMismatchError(self.input_d, data.d, "pipeline input")
+        X = (data.X if self.expansion is None
+             else expand_matrix(data.X, self.expansion))
+        pipeline = self
+        if fit_scaler:
+            if X is not data.X:  # a lifted value may have overflowed
+                _reject_nonfinite(X, data.group_ids)
+            pipeline = replace(self, scaler=AffineScaler.fit(X))
+        if pipeline.scaler is not None:
+            # a fresh lift is scaled in place, the input's matrix never is
+            X = np.subtract(X, pipeline.scaler.shift,
+                            out=None if X is data.X else X)
+            X /= pipeline.scaler.scale
+        return pipeline, (data if X is data.X else
+                          Dataset(X, data.labels, data.group_ids, data.is_key))

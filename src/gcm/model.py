@@ -112,28 +112,34 @@ def _group_location(group_id, path) -> str:
     return where if path is None else f"{where} in {path}"
 
 
+def _reject_nonfinite(X: np.ndarray, group_ids: np.ndarray, path=None):
+    """Raise :class:`MalformedRecordError` at the group of ``X``'s first row
+    holding a NaN or ±inf (row ``r`` is in ``group_ids[r]``), if any."""
+    # a column is finite exactly when its minimum and maximum both are
+    if np.isfinite(X.min(axis=0)).all() and np.isfinite(X.max(axis=0)).all():
+        return
+    row = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+    raise MalformedRecordError("features must not be NaN or infinite",
+                               _group_location(group_ids[row], path))
+
+
 def _column_major_copy(X, group_ids: np.ndarray, path=None,
                        order: np.ndarray | None = None) -> np.ndarray:
-    """Copy ``X`` into a new Fortran-order float64 matrix, rejecting NaN.
+    """Copy ``X`` into a new Fortran-order float64 matrix of finite values.
 
     Output row ``r`` is ``X[order[r]]``, or ``X[r]`` when ``order`` is None;
     ``group_ids[r]`` is its group. The copy runs :data:`COPY_CHUNK_ROWS` rows
     at a time so that each chunk's transpose stays in cache, which makes it
     far cheaper than ``np.asfortranarray`` on a row-major or strided input.
-    A NaN feature raises :class:`MalformedRecordError` located at its group,
-    with ``in <path>`` appended when ``path`` is given. Infinite features
-    pass.
+    Each chunk goes through :func:`_reject_nonfinite`, located in ``path``
+    when one is given.
     """
     out = np.empty(X.shape, dtype=np.float64, order="F")
     for lo in range(0, X.shape[0], COPY_CHUNK_ROWS):
         hi = lo + COPY_CHUNK_ROWS
         chunk = out[lo:hi]
         chunk[...] = X[lo:hi] if order is None else X[order[lo:hi]]
-        # a column's minimum is NaN exactly when the column holds a NaN
-        if np.isnan(chunk.min(axis=0)).any():
-            row = lo + np.flatnonzero(np.isnan(chunk).any(axis=1))[0]
-            raise MalformedRecordError("features must not be NaN",
-                                       _group_location(group_ids[row], path))
+        _reject_nonfinite(chunk, group_ids[lo:hi], path)
     return out
 
 
@@ -214,8 +220,8 @@ class Dataset:
 
     ``X`` is a read-only Fortran-order (column-major) copy of the features,
     so each feature of a block of rows is one contiguous run, which is the
-    order the grouped score kernel reads it in. Features must not be NaN;
-    infinite values are accepted.
+    order the grouped score kernel reads it in. Features must be finite:
+    a NaN or ±inf raises :class:`MalformedRecordError` at its group.
 
     After sorting, the rows go through :func:`validate_groups`, the same
     check that :class:`~gcm.data_io.BinaryDatasetReader` runs on each block,

@@ -15,6 +15,7 @@ from gcm import (
     GeneratorSpec,
     Hyperparams,
     LinearModel,
+    MalformedRecordError,
     fit_algorithm,
     generate,
     load_binary,
@@ -232,14 +233,33 @@ class TestTrain:
                    str(tmp_path / "m.json"), "--algo", "gcm",
                    "--lambda", "0.5") == 3
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # an infinite feature makes the objective non-finite at the start
-        bad = tmp_path / "inf.csv"
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # finite features whose standard deviation overflows
+        bad = tmp_path / "huge.csv"
         bad.write_text("group_id,label,is_key,f1\n"
-                       "0,+1,1,1.0\n1,-1,0,-inf\n")
+                       "0,+1,1,1e300\n1,-1,0,-1e300\n")
         assert run("train", "--data", str(bad), "--model-out",
                    str(tmp_path / "m.json"), "--algo", "gcm",
-                   "--lambda", "0.5") == 4
+                   "--lambda", "0.5", "--standardize") == 4
+        assert "feature 1" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("value, flags", [
+        ("-inf", ()),
+        ("1e200", ("--expand-degree", "2")),
+        ("1e200", ("--expand-degree", "2", "--standardize")),
+    ])
+    def test_infinite_feature_is_a_data_error(self, value, flags, tmp_path,
+                                              capsys):
+        # given, or made by the lift: either way, rejected at its group
+        bad = tmp_path / "inf.csv"
+        bad.write_text("group_id,label,is_key,f1\n"
+                       f"0,+1,1,1.0\n1,-1,0,{value}\n")
+        assert run("train", "--data", str(bad), "--model-out",
+                   str(tmp_path / "m.json"), "--algo", "gcm",
+                   "--lambda", "0.5", *flags) == 3
+        assert "group 1" in capsys.readouterr().err
 
     def test_expansion_and_standardize_round_trip(self, easy_files, tmp_path):
         train_path, test_path = easy_files
@@ -249,7 +269,8 @@ class TestTrain:
                    str(model_out), "--algo", "gcm-nogroup", "--lambda", "0.5",
                    "--expand-degree", "2", "--standardize") == 0
         saved = load_model(model_out)
-        assert saved.expansion.degree == 2 and saved.scaler is not None
+        assert saved.pipeline.expansion.degree == 2
+        assert saved.pipeline.scaler is not None
         assert run("evaluate", "--model", str(model_out), "--data",
                    str(test_path), "--report-out", str(report)) == 0
 
@@ -295,6 +316,73 @@ class TestEvaluate:
             "r.csv.groups.csv": "dc9351a12a38076d2f0cfc2482ff701e"
                                 "ae10385193e6818d4c14445227850a11",
         }
+
+    @pytest.mark.parametrize("algo, digests", [
+        ("gcm", ("a79964c5d409533f294b8c62247c1e3c9e796dcd50d3588d5c7a8c2d317dc0cd",
+                 "21e4646c19792c96bb7ca99b5e0e21b2d204ea10bec529e02c6356d0eed7fe7f",
+                 "9d7240bed7064a399cb91dd7f7a3b8836938dfc21b2f39f8cfe3da0c9636d07f")),
+        ("gcm-nogroup",
+         ("e3bccafa56a42bb9ff6396bf22d7f2b41f5cc091ecd5d2d62e3d37d44d5e15a8",
+          "047131c801a531b91cf726ebcc3d1c28ef0ee81a4209b741576f6218d9e39d56",
+          "d7d5afb594f66d7188ba702a7f1da2ee369c8950df2dc2c2cf80426c889faddf")),
+    ])
+    def test_pipeline_outputs_match_pinned_hashes(self, algo, digests,
+                                                  tmp_path, monkeypatch):
+        # lift, then scale, at training and at evaluation; the model file
+        # records the dataset path, so the run uses relative names
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--out", "s.bin", "--seed", "11",
+                   "--pos-groups", "10", "--neg-groups", "90", "--d", "3") == 0
+        assert run("train", "--data", "s.bin", "--model-out", f"{algo}.json",
+                   "--algo", algo, "--lambda", "0.5", "--expand-degree", "2",
+                   "--standardize") == 0
+        assert run("evaluate", "--model", f"{algo}.json", "--data", "s.bin",
+                   "--report-out", f"{algo}.csv") == 0
+        assert tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in (f"{algo}.json", f"{algo}.csv",
+                         f"{algo}.csv.groups.csv")) == digests
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["hyperparams"].update(delta=-1), "delta",
+                     id="negative delta"),
+        pytest.param(lambda doc: doc["w"].__setitem__(0, float("nan")),
+                     "finite", id="NaN weight"),
+        pytest.param(lambda doc: doc["scaler"]["scale"].__setitem__(0, 0.0),
+                     "nonzero", id="zero scale"),
+        pytest.param(lambda doc: doc["scaler"]["scale"].__setitem__(
+            0, float("nan")), "finite", id="NaN scale"),
+        pytest.param(lambda doc: doc["expansion"].update(degree=0), "degree",
+                     id="degree 0"),
+        pytest.param(lambda doc: doc["scaler"].update(
+            shift=doc["scaler"]["shift"][:5], scale=doc["scaler"]["scale"][:5]),
+            "scaler has 5 features, the pipeline outputs 9",
+            id="narrow scaler"),
+        pytest.param(lambda doc: doc.update(scaler=None) or doc[
+            "expansion"].update(input_d=4),
+            "model has 9 weights, its feature pipeline outputs 14",
+            id="pipeline wider than the model"),
+    ])
+    def test_bad_model_field_is_a_data_error_at_the_file(
+            self, edit, message, easy_files, tmp_path, capsys):
+        train_path, test_path = easy_files
+        model_out = tmp_path / "m.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model_out), "--algo", "gcm-nogroup", "--lambda", "0.5",
+                   "--max-iterations", "5", "--expand-degree", "2",
+                   "--standardize") == 0
+        doc = json.loads(model_out.read_text())
+        edit(doc)
+        model_out.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRecordError, match=message) as err:
+            load_model(model_out)
+        assert err.value.location == str(model_out)
+        capsys.readouterr()
+        assert run("evaluate", "--model", str(model_out), "--data",
+                   str(test_path), "--report-out",
+                   str(tmp_path / "r.csv")) == 3
+        assert f"(at {model_out})" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_scores_the_rows_once(self, easy_files, tmp_path, monkeypatch):
         train_path, test_path = easy_files

@@ -9,6 +9,7 @@ from gcm import (
     Dataset,
     DomainError,
     ExpansionSpec,
+    FeaturePipeline,
     GeneratorSpec,
     Hyperparams,
     LinearModel,
@@ -291,6 +292,8 @@ FAULTS = {
     "key on a negative row": (MalformedRecordError, 11, 3, "is_key", 1),
     "label not +1 or -1": (MalformedRecordError, 12, 6, "label", 2),
     "NaN feature": (MalformedRecordError, 13, 9, "features", np.nan),
+    "+inf feature": (MalformedRecordError, 13, 8, "features", np.inf),
+    "-inf feature": (MalformedRecordError, 11, 3, "features", -np.inf),
 }
 
 
@@ -446,16 +449,16 @@ class TestModelPersistence:
         hp = Hyperparams(lam=0.4, epsilon=1.0, delta=0.5)
         scaler = AffineScaler(np.zeros(9), np.ones(9))
         path = tmp_path / "m.json"
-        save_model(path, model, hp, expansion=ExpansionSpec(degree=2),
-                   input_d=3, scaler=scaler,
+        save_model(path, model, hp,
+                   pipeline=FeaturePipeline(3, ExpansionSpec(degree=2), scaler),
                    provenance={"algo": "gcm", "termination": "GradTolerance"})
         saved = load_model(path)
         assert saved.hyperparams.lam == 0.4
         assert saved.hyperparams.epsilon == 1.0
         assert saved.hyperparams.delta == 0.5
-        assert saved.expansion.degree == 2
-        assert saved.input_d == 3
-        assert np.array_equal(saved.scaler.shift, scaler.shift)
+        assert saved.pipeline.expansion.degree == 2
+        assert saved.pipeline.input_d == 3
+        assert np.array_equal(saved.pipeline.scaler.shift, scaler.shift)
         assert saved.provenance["algo"] == "gcm"
 
     def test_version_mismatch(self, tmp_path, rng):
@@ -478,8 +481,8 @@ class TestModelPersistence:
         # weights trained on one monomial order must not be applied to another
         path = tmp_path / "m.json"
         save_model(path, LinearModel(rng.normal(size=9), 0.0),
-                   Hyperparams(lam=0.5), expansion=ExpansionSpec(degree=2),
-                   input_d=3)
+                   Hyperparams(lam=0.5),
+                   pipeline=FeaturePipeline(3, ExpansionSpec(degree=2)))
         doc = json.loads(path.read_text())
         assert doc["expansion"]["feature_order"] == [
             list(e) for e in monomial_exponents(3, 2)]
@@ -509,8 +512,9 @@ class TestModelPersistence:
     def test_missing_field_rejected_at_path(self, keys, tmp_path, rng):
         path = tmp_path / "m.json"
         save_model(path, LinearModel(rng.normal(size=9), 0.0),
-                   Hyperparams(lam=0.5), expansion=ExpansionSpec(degree=2),
-                   input_d=3, scaler=AffineScaler(np.zeros(9), np.ones(9)))
+                   Hyperparams(lam=0.5), pipeline=FeaturePipeline(
+                       3, ExpansionSpec(degree=2),
+                       AffineScaler(np.zeros(9), np.ones(9))))
         doc = json.loads(path.read_text())
         parent = doc
         for key in keys[:-1]:

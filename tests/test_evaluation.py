@@ -57,16 +57,17 @@ def score_fixture():
 class TestScoreGroups:
     def test_group_score_is_max(self):
         ds, model = score_fixture()
-        groups = score_groups(model.raw_scores(ds.X), ds)
-        assert len(groups) == 1
-        assert groups[0].group_score == 2.2
-        assert groups[0].argmax_row == 2
+        ids, labels, group_scores, rows = score_groups(
+            model.raw_scores(ds.X), ds)
+        assert ids.tolist() == [0] and labels.tolist() == [-1]
+        assert group_scores.tolist() == [2.2]
+        assert rows.tolist() == [2]
 
     def test_singleton_group(self, rng):
         ds = Dataset(rng.normal(size=(1, 2)), [-1], [0], [False])
         model = LinearModel(rng.normal(size=2), 0.5)
-        g = score_groups(model.raw_scores(ds.X), ds)[0]
-        assert g.group_score == pytest.approx(
+        group_scores = score_groups(model.raw_scores(ds.X), ds)[2]
+        assert group_scores[0] == pytest.approx(
             float(model.raw_scores(ds.X)[0]), rel=1e-15)
 
     def test_matches_naive_max(self, rng):
@@ -74,23 +75,25 @@ class TestScoreGroups:
         model = LinearModel(rng.normal(size=3), 0.1)
         scores = model.raw_scores(ds.X)
         starts = ds.group_starts
-        for k, g in enumerate(score_groups(scores, ds)):
-            assert g.group_id == ds.group_ids[starts[k]]
-            assert g.group_score == np.max(scores[starts[k]:starts[k + 1]])
+        ids, labels, group_scores, rows = score_groups(scores, ds)
+        for k in range(ds.n_groups):
+            assert ids[k] == ds.group_ids[starts[k]]
+            assert labels[k] == ds.labels[starts[k]]
+            assert group_scores[k] == np.max(scores[starts[k]:starts[k + 1]])
+            assert scores[rows[k]] == group_scores[k]
 
     def test_tie_takes_lowest_row(self):
         X = np.array([[1.0], [1.0]])
         ds = Dataset(X, [-1, -1], [0, 0], [False, False])
         scores = LinearModel(np.array([1.0]), 0.0).raw_scores(ds.X)
-        g = score_groups(scores, ds)[0]
-        assert g.argmax_row == 0
+        assert score_groups(scores, ds)[3].tolist() == [0]
 
     def test_removing_non_argmax_candidate_keeps_score(self, rng):
         ds = build_grouped_dataset(rng, 2, 3, 3, 5, 2)
         model = LinearModel(rng.normal(size=2), 0.0)
-        groups = score_groups(model.raw_scores(ds.X), ds)
-        before = {g.group_id: g.group_score for g in groups}
-        argmax = {g.group_id: g.argmax_row for g in groups}
+        ids, _, group_scores, rows = score_groups(model.raw_scores(ds.X), ds)
+        before = dict(zip(ids.tolist(), group_scores.tolist()))
+        argmax = dict(zip(ids.tolist(), rows.tolist()))
         keep = np.ones(ds.n_rows, dtype=bool)
         victim = None
         starts = ds.group_starts
@@ -105,8 +108,9 @@ class TestScoreGroups:
         keep[victim[1]] = False
         smaller = Dataset(ds.X[keep], ds.labels[keep], ds.group_ids[keep],
                           ds.is_key[keep])
-        after = {g.group_id: g.group_score
-                 for g in score_groups(model.raw_scores(smaller.X), smaller)}
+        ids, _, group_scores, _ = score_groups(model.raw_scores(smaller.X),
+                                               smaller)
+        after = dict(zip(ids.tolist(), group_scores.tolist()))
         assert after[victim[0]] == before[victim[0]]
 
 
@@ -213,9 +217,7 @@ class TestRocAuc:
     def test_group_auc_invariant_under_monotone_transform(self, rng):
         ds = build_grouped_dataset(rng, 5, 6, 2, 5, 3)
         model = LinearModel(rng.normal(size=3), 0.2)
-        groups = score_groups(model.raw_scores(ds.X), ds)
-        raw = np.array([g.group_score for g in groups])
-        labels = [g.label for g in groups]
+        _, labels, raw, _ = score_groups(model.raw_scores(ds.X), ds)
         _, auc1 = roc_auc(raw, labels)
         _, auc2 = roc_auc(np.exp(raw / 2) + 3, labels)
         assert auc1 == pytest.approx(auc2, abs=1e-12)
@@ -237,9 +239,8 @@ class TestEvaluateModel:
         model = LinearModel(rng.normal(size=3), -0.2)
         report = evaluate_model(model, ds)
         assert report.scores.tobytes() == model.raw_scores(ds.X).tobytes()
-        groups = score_groups(report.scores, ds)
-        points, auc = roc_auc([g.group_score for g in groups],
-                              [g.label for g in groups])
+        _, labels, group_scores, _ = score_groups(report.scores, ds)
+        points, auc = roc_auc(group_scores, labels)
         assert report.group_roc.tobytes() == points.tobytes()
         assert repr(report.group_auc) == repr(auc)
 

@@ -7,8 +7,10 @@ from gcm import (
     DimensionMismatchError,
     DomainError,
     ExpansionSpec,
+    FeaturePipeline,
     LinearModel,
-    expand,
+    MalformedRecordError,
+    NumericalError,
     expand_matrix,
     expanded_dimension,
     monomial_exponents,
@@ -44,15 +46,19 @@ class TestMonomialEnumeration:
         assert expanded_dimension(3, 2) == 9
 
 
+def lift(data, degree):
+    return FeaturePipeline(data.d, ExpansionSpec(degree=degree)).apply(data)
+
+
 class TestExpand:
     def test_degree_one_is_identity(self, rng):
         ds = build_grouped_dataset(rng, 2, 2, 1, 3, 4)
-        out = expand(ds, ExpansionSpec(degree=1))
+        out = lift(ds, 1)
         assert np.array_equal(out.X, ds.X)
 
     def test_metadata_untouched(self, rng):
         ds = build_grouped_dataset(rng, 2, 3, 2, 4, 3)
-        out = expand(ds, ExpansionSpec(degree=2))
+        out = lift(ds, 2)
         assert np.array_equal(out.labels, ds.labels)
         assert np.array_equal(out.group_ids, ds.group_ids)
         assert np.array_equal(out.is_key, ds.is_key)
@@ -83,30 +89,80 @@ class TestExpand:
         with pytest.raises(DomainError):
             ExpansionSpec(degree=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_monomial_is_rejected_at_its_group(self):
+        ds = Dataset([[1.0], [1e200], [2.0]], [1, -1, -1], [0, 4, 5],
+                     [True, False, False])
+        for standardize in (False, True):
+            with pytest.raises(MalformedRecordError, match=r"group 4\b"):
+                FeaturePipeline.fit(ds, ExpansionSpec(degree=2), standardize)
+
 
 class TestAffineScaler:
     def test_fit_transform_standardizes(self, rng):
         ds = build_grouped_dataset(rng, 4, 4, 5, 8, 3)
-        scaler = AffineScaler.fit(ds)
-        out = scaler.transform(ds)
+        pipeline, out = FeaturePipeline.fit(ds, standardize=True)
+        assert np.array_equal(pipeline.scaler.shift, ds.X.mean(axis=0))
         assert np.allclose(out.X.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(out.X.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_feature_passthrough(self):
         X = np.column_stack([np.ones(4), np.arange(4.0)])
+        scaler = AffineScaler.fit(X)
+        assert scaler.scale[0] == 1.0
         ds = Dataset(X, [1, 1, -1, -1], [0, 1, 2, 3],
                      [True, True, False, False])
-        scaler = AffineScaler.fit(ds)
-        out = scaler.transform(ds)
+        out = FeaturePipeline(2, scaler=scaler).apply(ds)
         assert np.allclose(out.X[:, 0], 0.0)
 
     def test_dimension_mismatch(self, rng):
         ds3 = build_grouped_dataset(rng, 2, 2, 1, 3, 3)
         ds2 = build_grouped_dataset(rng, 2, 2, 1, 3, 2)
-        scaler = AffineScaler.fit(ds3)
+        pipeline, _ = FeaturePipeline.fit(ds3, standardize=True)
         with pytest.raises(DimensionMismatchError):
-            scaler.transform(ds2)
+            pipeline.apply(ds2)
+        with pytest.raises(DomainError, match="scaler has 3 features"):
+            FeaturePipeline(3, ExpansionSpec(degree=2), pipeline.scaler)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(DomainError):
             AffineScaler(np.zeros(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("field", ["shift", "scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_shift_or_scale_rejected(self, field, value):
+        vectors = {"shift": np.zeros(2), "scale": np.ones(2)}
+        vectors[field][1] = value
+        with pytest.raises(DomainError, match="finite"):
+            AffineScaler(**vectors)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_deviation_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="feature 2"):
+            AffineScaler.fit(np.array([[0.0, 1e300], [1.0, -1e300]]))
+
+
+class TestFeaturePipeline:
+    def test_identity_returns_its_input(self, rng):
+        ds = build_grouped_dataset(rng, 2, 3, 1, 4, 3)
+        pipeline, out = FeaturePipeline.fit(ds)
+        assert out is ds
+        assert pipeline.apply(ds) is ds
+
+    @pytest.mark.parametrize("degree", [None, 2])
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_apply_repeats_fit(self, rng, degree, standardize):
+        # scaling a fresh lift in place gives the bits of lift, then scale
+        ds = build_grouped_dataset(rng, 3, 5, 2, 6, 3)
+        spec = None if degree is None else ExpansionSpec(degree=degree)
+        pipeline, fitted = FeaturePipeline.fit(ds, spec, standardize)
+        X = ds.X if spec is None else expand_matrix(ds.X, spec)
+        if standardize:
+            X = (X - X.mean(axis=0)) / X.std(axis=0)
+        assert np.array_equal(fitted.X, X)
+        assert np.array_equal(pipeline.apply(ds).X, X)
+        assert pipeline.output_d == X.shape[1]
+
+    def test_bad_input_width_rejected(self):
+        with pytest.raises(DomainError):
+            FeaturePipeline(0)

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from gcm import (
-    AffineScaler,
     BinaryDatasetReader,
     Dataset,
     ExpansionSpec,
+    FeaturePipeline,
     GeneratorSpec,
     Hyperparams,
     LinearModel,
-    expand,
     generate,
     huber_prime,
     load_binary,
@@ -94,8 +93,11 @@ class TestDatasetLayout:
         ds = generate(GeneratorSpec(seed=3, n_pos_groups=4, n_neg_groups=6,
                                     d=3))
         assert_column_major(ds.X)
-        assert_column_major(expand(ds, ExpansionSpec(degree=2)).X)
-        assert_column_major(AffineScaler.fit(ds).transform(ds).X)
+        for spec in (None, ExpansionSpec(degree=2)):
+            _, out = FeaturePipeline.fit(ds, spec, standardize=True)
+            assert_column_major(out.X)
+        _, out = FeaturePipeline.fit(ds, ExpansionSpec(degree=2))
+        assert_column_major(out.X)
 
     def test_mi_svm_inner_set(self, rng):
         ds = build_grouped_dataset(rng, 3, 4, 1, 5, 3)

@@ -102,9 +102,11 @@ class TestDatasetValidation:
         with pytest.raises(MalformedRecordError, match=r"group 4\b"):
             Dataset(X, [-1] * n, gids, [False] * n)
 
-    def test_infinite_features_accepted(self):
-        ds = Dataset([[np.inf], [-np.inf]], [1, -1], [0, 1], [True, False])
-        assert ds.X[:, 0].tolist() == [np.inf, -np.inf]
+    def test_infinite_features_rejected_with_their_group(self):
+        for value in (np.inf, -np.inf):
+            with pytest.raises(MalformedRecordError,
+                               match=r"infinite.*group 3\b"):
+                Dataset([[1.0], [value]], [1, -1], [0, 3], [True, False])
 
 
 class TestDatasetStructure:
