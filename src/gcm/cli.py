@@ -56,7 +56,7 @@ from .evaluation import (
 from .expansion import ExpansionSpec, FeaturePipeline
 from .generator import GeneratorSpec, PRESETS, generate
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON
-from .solver import SolverConfig
+from .solver import SolverConfig, Termination
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -184,6 +184,11 @@ def cmd_train(args):
                                          args.standardize)
     model, details = fit_algorithm(algo, data, args.lam, args.epsilon,
                                    args.delta, solver_cfg, args.misvm_max_outer)
+    if (details.get("iterations") == 0 and details["termination_reason"]
+            == Termination.LINE_SEARCH_FAILURE.value):
+        # no step was accepted: the model would be the start point
+        raise NumericalError("the first line search found no decrease from "
+                             "the zero model; no model was written")
     results = {k: v for k, v in details.items() if k != "selector"}
     provenance = {
         "algo": args.algo,

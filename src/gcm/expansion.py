@@ -65,18 +65,21 @@ def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
     """Apply the lift to a raw feature matrix.
 
     The output is column-major: each monomial is written as one contiguous
-    column, and :class:`Dataset` copies it without a transpose.
+    column, and :class:`Dataset` copies it without a transpose. A monomial
+    that overflows comes out as ±inf without a warning; :class:`Dataset`
+    rejects it at its group.
     """
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
     out_dim = expanded_dimension(d, spec.degree)
     cols = np.empty((X.shape[0], out_dim), dtype=np.float64, order="F")
-    for i, exps in enumerate(monomial_exponents(d, spec.degree)):
-        col = np.ones(X.shape[0], dtype=np.float64)
-        for j, e in enumerate(exps):
-            if e:
-                col = col * X[:, j] ** e
-        cols[:, i] = col
+    with np.errstate(over="ignore"):
+        for i, exps in enumerate(monomial_exponents(d, spec.degree)):
+            col = np.ones(X.shape[0], dtype=np.float64)
+            for j, e in enumerate(exps):
+                if e:
+                    col = col * X[:, j] ** e
+            cols[:, i] = col
     return cols
 
 
@@ -100,7 +103,8 @@ class AffineScaler:
     @classmethod
     def fit(cls, X: np.ndarray) -> "AffineScaler":
         """Column means and standard deviations of the matrix ``X``."""
-        shift, scale = X.mean(axis=0), X.std(axis=0)
+        with np.errstate(over="ignore"):  # reported just below
+            shift, scale = X.mean(axis=0), X.std(axis=0)
         bad = np.flatnonzero(~(np.isfinite(shift) & np.isfinite(scale)))
         if bad.size:
             raise NumericalError(f"feature {bad[0] + 1}'s mean or standard "

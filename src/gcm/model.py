@@ -89,7 +89,9 @@ class LinearModel:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.d:
             raise DimensionMismatchError(self.d, X.shape[-1], "raw_scores")
-        return X @ self.w + self.b
+        scores = X @ self.w
+        scores += self.b  # in place: one row-length array per call
+        return scores
 
 
 class GroupBlock(NamedTuple):

@@ -135,6 +135,18 @@ def _group_argmax(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return hits[np.searchsorted(hits, starts[:-1])]
 
 
+#: Rows per chunk of :func:`eval_per_candidate`'s elementwise work: small
+#: enough that a chunk's temporaries stay in cache and its allocations are
+#: reused, large enough that per-chunk call overhead stays small.
+CANDIDATE_CHUNK_ROWS = 16384
+
+
+def _row_chunks(n: int):
+    """Slices covering rows ``0..n`` in :data:`CANDIDATE_CHUNK_ROWS` steps."""
+    step = CANDIDATE_CHUNK_ROWS
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _check_dims(model: LinearModel, d: int):
     if model.d != d:
         raise DimensionMismatchError(model.d, d, "objective")
@@ -174,25 +186,45 @@ def eval_per_candidate(model: LinearModel, data: Dataset,
     The gradient reuses the margins: row ``i`` adds ``c_i = lam/n_class *
     L'(margin_i) * y_i`` to the bias gradient and ``c_i x_i`` to the weight
     gradient, one ``X.T @ c`` product. Rows at margin >= 1 drop out.
+
+    Between the two BLAS products, the elementwise work runs in chunks of
+    :data:`CANDIDATE_CHUNK_ROWS` rows, so its temporaries stay small. Each
+    row's arithmetic is the same in any chunk, and each class's losses are
+    summed once, in row order, so no result depends on the chunk size.
     """
     _check_dims(model, data.d)
     if hp.lam == 0.0:
         return _regularization_only(model, hp)
     reg = _regularization(model, hp)
-    margins = data.labels * model.raw_scores(data.X)
-    losses = smoothed_hinge(margins, hp.delta)
-    pos_mask = data.labels == 1
+    labels = data.labels
+    margins = model.raw_scores(data.X)  # a fresh array, turned into margins
+    pos_losses = np.empty(data.n_pos_rows)
+    neg_losses = np.empty(data.n_neg_rows)
+    n_pos = n_neg = 0
+    for rows in _row_chunks(data.n_rows):
+        m = margins[rows]
+        np.multiply(labels[rows], m, out=m)
+        losses = smoothed_hinge(m, hp.delta)
+        is_pos = labels[rows] == 1
+        k = int(np.count_nonzero(is_pos))
+        pos_losses[n_pos:n_pos + k] = losses[is_pos]
+        neg_losses[n_neg:n_neg + m.size - k] = losses[~is_pos]
+        n_pos, n_neg = n_pos + k, n_neg + m.size - k
     pos, neg = _class_terms(
         hp.lam,
-        float(np.sum(losses[pos_mask])), data.n_pos_rows,
-        float(np.sum(losses[~pos_mask])), data.n_neg_rows,
+        float(np.sum(pos_losses)), data.n_pos_rows,
+        float(np.sum(neg_losses)), data.n_neg_rows,
         "candidate",
     )
 
     def gradient() -> GradientVector:
-        weights = np.where(pos_mask, hp.lam / data.n_pos_rows,
-                           hp.lam / data.n_neg_rows)
-        coeff = weights * smoothed_hinge_prime(margins, hp.delta) * data.labels
+        w_pos, w_neg = hp.lam / data.n_pos_rows, hp.lam / data.n_neg_rows
+        coeff = np.empty(data.n_rows)
+        for rows in _row_chunks(data.n_rows):
+            c = coeff[rows]
+            np.multiply(np.where(labels[rows] == 1, w_pos, w_neg),
+                        smoothed_hinge_prime(margins[rows], hp.delta), out=c)
+            np.multiply(c, labels[rows], out=c)
         grad_w = _regularization_gradient(model, hp) + data.X.T @ coeff
         return GradientVector(grad_w, float(np.sum(coeff)))
 

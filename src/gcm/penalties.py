@@ -55,15 +55,10 @@ def smoothed_hinge(t, delta: float):
     scalar = t.ndim == 0
     if delta == 0.0:
         return _maybe_scalar(np.maximum(0.0, 1.0 - t), scalar)
-    out = np.where(
-        t >= 1.0,
-        0.0,
-        np.where(
-            t >= 1.0 - 2.0 * delta,
-            (1.0 - t) ** 2 / (4.0 * delta),
-            1.0 - t - delta,
-        ),
-    )
+    # one select: at t >= 1 the quadratic of min(t, 1) = 1 is already +0.0
+    out = np.where(t >= 1.0 - 2.0 * delta,
+                   (1.0 - np.minimum(t, 1.0)) ** 2 / (4.0 * delta),
+                   1.0 - t - delta)
     return _maybe_scalar(out, scalar)
 
 
@@ -78,9 +73,7 @@ def smoothed_hinge_prime(t, delta: float):
     scalar = t.ndim == 0
     if delta == 0.0:
         return _maybe_scalar(np.where(t < 1.0, -1.0, 0.0), scalar)
-    out = np.where(
-        t >= 1.0,
-        0.0,
-        np.where(t >= 1.0 - 2.0 * delta, (t - 1.0) / (2.0 * delta), -1.0),
-    )
+    # one select, as in smoothed_hinge: min(t, 1) - 1 is +0.0 at t >= 1
+    out = np.where(t >= 1.0 - 2.0 * delta,
+                   (np.minimum(t, 1.0) - 1.0) / (2.0 * delta), -1.0)
     return _maybe_scalar(out, scalar)

@@ -29,6 +29,39 @@ def smoothed_hinge_scalar(t: float, delta: float) -> float:
     return 1.0 - t - delta
 
 
+def nested_smoothed_hinge(t, delta: float):
+    """``gcm.penalties.smoothed_hinge`` as two nested selects: zero at
+    ``t >= 1``, else the quadratic or the linear piece."""
+    t = np.asarray(t, dtype=np.float64)
+    if delta == 0.0:
+        out = np.maximum(0.0, 1.0 - t)
+    else:
+        out = np.where(
+            t >= 1.0,
+            0.0,
+            np.where(
+                t >= 1.0 - 2.0 * delta,
+                (1.0 - t) ** 2 / (4.0 * delta),
+                1.0 - t - delta,
+            ),
+        )
+    return float(out) if t.ndim == 0 else out
+
+
+def nested_smoothed_hinge_prime(t, delta: float):
+    """``gcm.penalties.smoothed_hinge_prime`` as two nested selects."""
+    t = np.asarray(t, dtype=np.float64)
+    if delta == 0.0:
+        out = np.where(t < 1.0, -1.0, 0.0)
+    else:
+        out = np.where(
+            t >= 1.0,
+            0.0,
+            np.where(t >= 1.0 - 2.0 * delta, (t - 1.0) / (2.0 * delta), -1.0),
+        )
+    return float(out) if t.ndim == 0 else out
+
+
 def naive_per_candidate(w, b, X, labels, lam, eps, delta) -> float:
     d = len(w)
     reg = (1.0 - lam) / d * sum(huber_scalar(float(wj), eps) for wj in w)

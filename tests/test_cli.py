@@ -3,6 +3,7 @@ import hashlib
 import json
 import sys
 import types
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -31,6 +32,11 @@ from conftest import build_grouped_dataset
 
 def run(*argv):
     return main(list(argv))
+
+
+def runtime_warnings(caught):
+    return [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture
@@ -233,18 +239,35 @@ class TestTrain:
                    str(tmp_path / "m.json"), "--algo", "gcm",
                    "--lambda", "0.5") == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("delta", ["0", "0.5"])
+    def test_failed_first_step_is_numerical_failure(self, delta, tmp_path,
+                                                    capsys):
+        # every group's scores tie at the zero start, and there the first-row
+        # subgradient is no descent direction: no step is ever accepted
+        data = build_grouped_dataset(np.random.default_rng(20240811),
+                                     12, 20, 2, 7, 4)
+        path = tmp_path / "tie.bin"
+        save_binary(data, path)
+        before = set(tmp_path.iterdir())
+        assert run("train", "--data", str(path), "--model-out",
+                   str(tmp_path / "m.json"), "--algo", "gcm",
+                   "--lambda", "0.5", "--delta", delta) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # finite features whose standard deviation overflows
         bad = tmp_path / "huge.csv"
         bad.write_text("group_id,label,is_key,f1\n"
                        "0,+1,1,1e300\n1,-1,0,-1e300\n")
-        assert run("train", "--data", str(bad), "--model-out",
-                   str(tmp_path / "m.json"), "--algo", "gcm",
-                   "--lambda", "0.5", "--standardize") == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--data", str(bad), "--model-out",
+                       str(tmp_path / "m.json"), "--algo", "gcm",
+                       "--lambda", "0.5", "--standardize") == 4
+        assert not runtime_warnings(caught)
         assert "feature 1" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("value, flags", [
         ("-inf", ()),
         ("1e200", ("--expand-degree", "2")),
@@ -256,9 +279,12 @@ class TestTrain:
         bad = tmp_path / "inf.csv"
         bad.write_text("group_id,label,is_key,f1\n"
                        f"0,+1,1,1.0\n1,-1,0,{value}\n")
-        assert run("train", "--data", str(bad), "--model-out",
-                   str(tmp_path / "m.json"), "--algo", "gcm",
-                   "--lambda", "0.5", *flags) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", "--data", str(bad), "--model-out",
+                       str(tmp_path / "m.json"), "--algo", "gcm",
+                       "--lambda", "0.5", *flags) == 3
+        assert not runtime_warnings(caught)
         assert "group 1" in capsys.readouterr().err
 
     def test_expansion_and_standardize_round_trip(self, easy_files, tmp_path):

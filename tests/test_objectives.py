@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gcm.objectives
 from gcm import (
     ConfigurationError,
     Dataset,
@@ -12,10 +13,17 @@ from gcm import (
     eval_per_candidate,
     gradient_per_candidate,
     smoothed_hinge,
+    smoothed_hinge_prime,
     subgradient_grouped,
 )
 from conftest import build_grouped_dataset
-from oracles import fd_gradient, naive_grouped, naive_per_candidate
+from oracles import (
+    fd_gradient,
+    naive_grouped,
+    naive_per_candidate,
+    nested_smoothed_hinge,
+    nested_smoothed_hinge_prime,
+)
 
 
 def pack_objective(fn, data, hp, grouped):
@@ -83,6 +91,68 @@ class TestEvalPerCandidate:
         with pytest.raises(DimensionMismatchError):
             eval_per_candidate(LinearModel(np.zeros(2), 0.0), ds,
                                Hyperparams(lam=0.5))
+
+
+def value_bits(value: ObjectiveValue) -> tuple[list[int], list[int]]:
+    """The bits of the total, the three terms, the bias gradient and the
+    weight gradient of ``value``."""
+    g = value.gradient()
+    scalars = np.array([value.total, value.regularization_term,
+                        value.positive_loss_term, value.negative_loss_term,
+                        g.grad_b])
+    return scalars.view(np.int64).tolist(), g.grad_w.view(np.int64).tolist()
+
+
+class TestPerCandidateChunks:
+    """No bit of eval_per_candidate depends on its row chunk size."""
+
+    CHUNK = 7
+
+    def assert_chunk_invariant(self, monkeypatch, model, ds, hp):
+        seen = []
+        for chunk in (self.CHUNK, ds.n_rows + 1):
+            monkeypatch.setattr(gcm.objectives, "CANDIDATE_CHUNK_ROWS", chunk)
+            seen.append(value_bits(eval_per_candidate(model, ds, hp)))
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("n_rows", [5, 21, 23])  # below, k * 7, not k * 7
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_row_counts(self, n_rows, delta, monkeypatch, rng):
+        labels = np.where(np.arange(n_rows) % 3 == 0, 1, -1)
+        ds = singleton_dataset(rng.normal(size=(n_rows, 3)), labels)
+        model = LinearModel(rng.normal(size=3), 0.3)
+        self.assert_chunk_invariant(monkeypatch, model, ds,
+                                    Hyperparams(lam=0.6, delta=delta))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_single_class_chunks(self, delta, monkeypatch, rng):
+        # rows 0-6 are one positive group, rows 7-13 one negative group
+        labels = [1] * 7 + [-1] * 7 + [1, -1, 1, -1]
+        gids = [0] * 7 + [1] * 7 + [2, 3, 4, 5]
+        keys = [True] + [False] * 13 + [True, False, True, False]
+        ds = Dataset(rng.normal(size=(18, 2)), labels, gids, keys)
+        model = LinearModel(rng.normal(size=2), -0.1)
+        self.assert_chunk_invariant(monkeypatch, model, ds,
+                                    Hyperparams(lam=0.5, delta=delta))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_infinite_scores(self, delta, monkeypatch):
+        # scores of +inf and -inf on both classes, so margins of both signs
+        x = [1e300, -1e300, 0.5, 1e300, -1e300, -0.2, 0.1, 2.0, -1e300, 1e300]
+        labels = [1, 1, 1, -1, -1, -1, -1, 1, -1, 1]
+        ds = singleton_dataset(np.array(x)[:, None], labels)
+        model = LinearModel(np.array([1e10]), 0.0)
+        hp = Hyperparams(lam=0.5, delta=delta)
+        with np.errstate(over="ignore"):  # the scores overflow on purpose
+            margins = ds.labels * model.raw_scores(ds.X)
+            assert np.isinf(margins).sum() == 6
+            for fn, nested in ((smoothed_hinge, nested_smoothed_hinge),
+                               (smoothed_hinge_prime,
+                                nested_smoothed_hinge_prime)):
+                assert (fn(margins, delta).tobytes()
+                        == nested(margins, delta).tobytes())
+            assert eval_per_candidate(model, ds, hp).total == np.inf
+            self.assert_chunk_invariant(monkeypatch, model, ds, hp)
 
 
 class TestEvalGrouped:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcm import DomainError, huber, huber_prime, smoothed_hinge, smoothed_hinge_prime
+from oracles import nested_smoothed_hinge, nested_smoothed_hinge_prime
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -158,3 +159,49 @@ class TestSmoothedHingePrime:
                 below = smoothed_hinge(math.nextafter(edge, -10.0), delta)
                 at = smoothed_hinge(edge, delta)
                 assert abs(at - below) < 1e-12
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def ulps_around(x: float, k: int = 20) -> list[float]:
+    """``x`` and the ``k`` floats on either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+SPECIAL_T = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, -1e308]
+SPECIAL_DELTA = [0.0, 5e-324, 0.1, 0.5, 1.0, 1e308, float(np.finfo(np.float64).max)]
+
+
+class TestSingleSelect:
+    """The one-select penalties give the nested-select values bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(t, delta):
+        with np.errstate(all="ignore"):  # overflow and inf - inf are inputs here
+            for fn, oracle in ((smoothed_hinge, nested_smoothed_hinge),
+                               (smoothed_hinge_prime, nested_smoothed_hinge_prime)):
+                assert np.array_equal(bits(fn(t, delta)), bits(oracle(t, delta)))
+                for x in t:
+                    got, want = fn(x, delta), oracle(x, delta)
+                    assert isinstance(got, float)
+                    assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("delta", SPECIAL_DELTA)
+    def test_special_values(self, delta):
+        t = SPECIAL_T + ulps_around(1.0 - 2.0 * delta) + ulps_around(1.0)
+        self.assert_same_bits(np.array(t), delta)
+
+    @given(t=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=8),
+           delta=st.floats(min_value=0.0, allow_infinity=False))
+    @settings(max_examples=300)
+    def test_finite_property(self, t, delta):
+        self.assert_same_bits(np.array(t), delta)
