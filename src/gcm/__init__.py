@@ -71,14 +71,7 @@ from .model import (
     Hyperparams,
     LinearModel,
 )
-from .objectives import (
-    GradientVector,
-    ObjectiveValue,
-    eval_grouped,
-    eval_per_candidate,
-    gradient_per_candidate,
-    subgradient_grouped,
-)
+from .objectives import ObjectiveValue, eval_grouped, eval_per_candidate
 from .penalties import huber, huber_prime, smoothed_hinge, smoothed_hinge_prime
 from .solver import SolverConfig, SolveTrace, Termination, minimize
 from .train import train_gcm, train_per_candidate
@@ -90,7 +83,7 @@ __all__ = [
     "CvPlan", "DEFAULT_DELTA", "DEFAULT_EPSILON", "DEFAULT_LAMBDA_GRID",
     "DataFormatError", "Dataset", "DimensionMismatchError", "DomainError",
     "EvalReport", "ExpansionSpec", "FeaturePipeline", "GcmError",
-    "GeneratorSpec", "GradientVector", "GroupBlock", "Hyperparams",
+    "GeneratorSpec", "GroupBlock", "Hyperparams",
     "LambdaCvResult", "LinearModel", "MalformedRecordError",
     "MissingKeyError", "MixedLabelGroupError", "MultipleKeysError",
     "NumericalError", "ObjectiveValue", "PRESETS", "SavedModel",
@@ -98,12 +91,12 @@ __all__ = [
     "UnsortedGroupError", "VersionMismatchError",
     "cross_validate", "easy_spec", "eval_grouped", "eval_per_candidate",
     "evaluate_model", "expand_matrix", "expanded_dimension",
-    "fit_algorithm", "generate", "gradient_per_candidate",
+    "fit_algorithm", "generate",
     "hard_negatives_spec", "huber", "huber_prime", "load_binary",
     "load_dataset", "load_model", "load_text", "make_group_folds", "minimize",
     "monomial_exponents", "monomial_names", "roc_auc", "save_binary",
     "save_model", "save_text", "score_groups", "smoothed_hinge",
-    "smoothed_hinge_prime", "split_groups", "subgradient_grouped",
+    "smoothed_hinge_prime", "split_groups",
     "train_gcm", "train_mi_svm", "train_per_candidate",
     "write_groups_csv", "write_report_csv",
 ]

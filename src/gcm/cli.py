@@ -14,7 +14,8 @@ the wall clock and the command's results as top-level keys. Model and
 report files themselves contain nothing non-deterministic, so re-running
 the flags a manifest records reproduces them byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error (including arrays too
+large to allocate), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -360,8 +361,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GcmError, OSError) as exc:
-        # the rest: a bad or unreadable file, or data unfit for the run
+    except (GcmError, OSError, MemoryError) as exc:
+        # the rest: a bad or unreadable file, or data and settings that
+        # cannot be run, such as arrays too large to allocate
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

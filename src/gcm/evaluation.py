@@ -70,6 +70,8 @@ class CvPlan:
     def __post_init__(self):
         if self.folds < 2:
             raise DomainError("folds must be >= 2")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not self.lambda_grid:
             raise DomainError("lambda_grid must not be empty")
         for lam in self.lambda_grid:
@@ -343,6 +345,8 @@ def split_groups(data: Dataset, train_fraction: float, seed: int
     """Deterministic polarity-stratified train/test split at group level."""
     if not 0.0 < train_fraction < 1.0:
         raise DomainError("train_fraction must be in (0, 1)")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     pos, neg = _shuffled_group_ids(data, seed)
     n_pos = int(round(train_fraction * len(pos)))
     n_neg = int(round(train_fraction * len(neg)))

@@ -45,6 +45,8 @@ class GeneratorSpec:
     decoy_shift: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.n_pos_groups < 1:
             raise DomainError(
                 "n_pos_groups must be >= 1 (a dataset without positive groups "

@@ -56,22 +56,16 @@ class ObjectiveValue:
     regularization_term: float
     positive_loss_term: float
     negative_loss_term: float
-    _gradient: Callable[[], GradientVector] | None = field(
+    _gradient: Callable[[], np.ndarray] | None = field(
         default=None, compare=False, repr=False)
 
-    def gradient(self) -> GradientVector:
-        """The (sub)gradient at the point this value was evaluated at."""
+    def gradient(self) -> np.ndarray:
+        """The (sub)gradient at the point this value was evaluated at: one
+        float64 vector of length ``d + 1``, the weights' entries then the
+        bias's."""
         if self._gradient is None:
             raise ValueError("this ObjectiveValue was built without a gradient")
         return self._gradient()
-
-
-@dataclass(frozen=True, eq=False)
-class GradientVector:
-    """Gradient with respect to the weights and the bias."""
-
-    grad_w: np.ndarray
-    grad_b: float
 
 
 class _ChunkedSum:
@@ -158,14 +152,12 @@ def _regularization(model: LinearModel, hp: Hyperparams) -> float:
 
 def _class_terms(lam: float, pos_sum: float, n_pos: int, neg_sum: float,
                  n_neg: int, unit: str) -> tuple[float, float]:
-    if lam > 0.0 and (n_pos == 0 or n_neg == 0):
+    if n_pos == 0 or n_neg == 0:
         raise ConfigurationError(
             f"objective with lam > 0 needs at least one positive and one "
             f"negative {unit} (got {n_pos} positive, {n_neg} negative)"
         )
-    pos = lam / n_pos * pos_sum if n_pos else 0.0
-    neg = lam / n_neg * neg_sum if n_neg else 0.0
-    return pos, neg
+    return lam / n_pos * pos_sum, lam / n_neg * neg_sum
 
 
 def _regularization_gradient(model: LinearModel, hp: Hyperparams) -> np.ndarray:
@@ -176,7 +168,7 @@ def _regularization_only(model: LinearModel, hp: Hyperparams) -> ObjectiveValue:
     reg = _regularization(model, hp)
     return ObjectiveValue(
         reg, reg, 0.0, 0.0,
-        lambda: GradientVector(_regularization_gradient(model, hp), 0.0))
+        lambda: np.append(_regularization_gradient(model, hp), 0.0))
 
 
 def eval_per_candidate(model: LinearModel, data: Dataset,
@@ -217,7 +209,7 @@ def eval_per_candidate(model: LinearModel, data: Dataset,
         "candidate",
     )
 
-    def gradient() -> GradientVector:
+    def gradient() -> np.ndarray:
         w_pos, w_neg = hp.lam / data.n_pos_rows, hp.lam / data.n_neg_rows
         coeff = np.empty(data.n_rows)
         for rows in _row_chunks(data.n_rows):
@@ -225,8 +217,8 @@ def eval_per_candidate(model: LinearModel, data: Dataset,
             np.multiply(np.where(labels[rows] == 1, w_pos, w_neg),
                         smoothed_hinge_prime(margins[rows], hp.delta), out=c)
             np.multiply(c, labels[rows], out=c)
-        grad_w = _regularization_gradient(model, hp) + data.X.T @ coeff
-        return GradientVector(grad_w, float(np.sum(coeff)))
+        return np.append(_regularization_gradient(model, hp) + data.X.T @ coeff,
+                         np.sum(coeff))
 
     return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient)
 
@@ -270,21 +262,10 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams) -> ObjectiveValue:
     pos, neg = _class_terms(hp.lam, pos_acc.total(), n_pos, neg_acc.total(),
                             n_neg, "group")
 
-    def gradient() -> GradientVector:
-        grad_w = (_regularization_gradient(model, hp)
-                  + hp.lam / n_pos * pos_w + hp.lam / n_neg * neg_w)
-        grad_b = hp.lam / n_pos * pos_b + hp.lam / n_neg * neg_b
-        return GradientVector(grad_w, grad_b)
+    def gradient() -> np.ndarray:
+        return np.append(_regularization_gradient(model, hp)
+                         + hp.lam / n_pos * pos_w + hp.lam / n_neg * neg_w,
+                         hp.lam / n_pos * pos_b + hp.lam / n_neg * neg_b)
 
     return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient)
 
-
-def gradient_per_candidate(model: LinearModel, data: Dataset,
-                           hp: Hyperparams) -> GradientVector:
-    """Gradient of :func:`eval_per_candidate`."""
-    return eval_per_candidate(model, data, hp).gradient()
-
-
-def subgradient_grouped(model: LinearModel, data, hp: Hyperparams) -> GradientVector:
-    """Subgradient of :func:`eval_grouped`."""
-    return eval_grouped(model, data, hp).gradient()

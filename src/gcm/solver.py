@@ -1,8 +1,8 @@
 """Limited-memory quasi-Newton minimization with Armijo backtracking.
 
-Drives any ``value_and_grad`` callable over a flat parameter vector: one
-call prices a point, and the gradient there is asked for only at the start
-and at accepted steps, never at a rejected backtrack.
+Drives any objective callable over a flat parameter vector: one call
+prices a point, and the gradient there is asked for only at the start and
+at accepted steps, never at a rejected backtrack.
 The implementation is the standard two-loop recursion over the most recent
 curvature pairs, with the initial Hessian scaled by ``<s, y> / <y, y>``.
 The memory size and the line search are fixed module constants;
@@ -13,6 +13,7 @@ float64 numpy, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,32 +67,34 @@ class SolveTrace:
     termination_reason: Termination
 
 
-def _direction(grad, s_list, y_list, rho_list):
-    """Two-loop recursion; returns a descent direction candidate."""
+def _direction(grad, memory):
+    """Two-loop recursion over ``(s, y, rho)`` triples; returns a descent
+    direction candidate."""
     q = grad.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(memory):
         a = rho * float(s @ q)
         q -= a * y
         alphas.append(a)
-    if s_list:
-        gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-        q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if memory:
+        s, y, _ = memory[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
         beta = rho * float(y @ q)
         q += (a - beta) * s
     return -q
 
 
-def minimize(value_and_grad, start, cfg: SolverConfig | None = None):
-    """Minimize the objective that ``value_and_grad`` prices, from ``start``.
+def minimize(objective, start, cfg: SolverConfig | None = None):
+    """Minimize ``objective`` from ``start``.
 
     Parameters
     ----------
-    value_and_grad:
-        Callable over a 1-D float64 point ``x`` returning ``(f, grad)``:
-        the objective value (a float) at ``x`` and a no-argument callable
-        giving the gradient at ``x``. The gradient may be a subgradient for
+    objective:
+        Callable over a 1-D float64 point ``x`` returning its value there,
+        such as an :class:`~gcm.objectives.ObjectiveValue`: ``.total`` is
+        the objective (a float) and ``.gradient()`` the gradient at ``x``,
+        a vector shaped like ``x``. The gradient may be a subgradient for
         non-smooth objectives, in which case a failed line search is a
         benign terminal state near the optimum.
     start:
@@ -104,15 +107,15 @@ def minimize(value_and_grad, start, cfg: SolverConfig | None = None):
     """
     cfg = cfg or SolverConfig()
     x = np.array(start, dtype=np.float64).ravel()
-    f, grad = value_and_grad(x)
+    value = objective(x)
+    f = value.total
     if not np.isfinite(f):
         raise NumericalError(f"objective is not finite at the start point: {f}")
-    g = np.asarray(grad(), dtype=np.float64).ravel()
+    g = np.asarray(value.gradient(), dtype=np.float64).ravel()
 
     history = [f]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    memory: deque[tuple[np.ndarray, np.ndarray, float]] = deque(
+        maxlen=MEMORY_PAIRS)
     reason = Termination.MAX_ITERATIONS
     iterations = 0
 
@@ -122,14 +125,12 @@ def minimize(value_and_grad, start, cfg: SolverConfig | None = None):
             reason = Termination.GRAD_TOLERANCE
             break
 
-        p = _direction(g, s_list, y_list, rho_list)
+        p = _direction(g, memory)
         gtp = float(g @ p)
         if not np.isfinite(gtp) or gtp >= 0.0:
             # Memory built from subgradients can stop being useful; restart
             # from steepest descent.
-            s_list.clear()
-            y_list.clear()
-            rho_list.clear()
+            memory.clear()
             p = -g
             gtp = float(g @ p)
 
@@ -137,7 +138,8 @@ def minimize(value_and_grad, start, cfg: SolverConfig | None = None):
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * p
-            f_new, grad = value_and_grad(x_new)
+            value = objective(x_new)
+            f_new = value.total
             if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * gtp:
                 accepted = True
                 break
@@ -146,18 +148,12 @@ def minimize(value_and_grad, start, cfg: SolverConfig | None = None):
             reason = Termination.LINE_SEARCH_FAILURE
             break
 
-        g_new = np.asarray(grad(), dtype=np.float64).ravel()
+        g_new = np.asarray(value.gradient(), dtype=np.float64).ravel()
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > MEMORY_PAIRS:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            memory.append((s, y, 1.0 / sy))
 
         obj_drop = f - f_new
         x, f, g = x_new, f_new, g_new

@@ -7,7 +7,8 @@ warm-starts each inner problem from the previous model) and from zero
 otherwise. The objectives are convex, so the start affects only the
 iteration count. The solve packs ``(w, b)`` into one flat vector for the
 solver, which takes each accepted point's gradient from the
-:class:`~gcm.objectives.ObjectiveValue` of the pass that priced it.
+:class:`~gcm.objectives.ObjectiveValue` of the pass that priced it; that
+gradient comes in the same layout, weights then bias.
 """
 
 from __future__ import annotations
@@ -17,10 +18,18 @@ import warnings
 import numpy as np
 
 from .model import Dataset, Hyperparams, LinearModel
-from .objectives import ObjectiveValue, eval_grouped, eval_per_candidate
-# Not called here: bench/tracing.py patches and counts these names on this module.
-from .objectives import gradient_per_candidate, subgradient_grouped  # noqa: F401
+from .objectives import eval_grouped, eval_per_candidate
 from .solver import SolverConfig, SolveTrace, minimize
+
+
+# Not called in this package: bench/tracing.py patches and counts these two
+# names on this module, and they are its only user.
+def gradient_per_candidate(model, data, hp):
+    return eval_per_candidate(model, data, hp).gradient()
+
+
+def subgradient_grouped(model, data, hp):
+    return eval_grouped(model, data, hp).gradient()
 
 
 def _unpack(point: np.ndarray) -> LinearModel:
@@ -57,17 +66,9 @@ def _train(objective, data: Dataset, hp: Hyperparams,
             stacklevel=3,
         )
     point, trace = minimize(
-        lambda p: _priced(objective(_unpack(p), data, hp)),
+        lambda p: objective(_unpack(p), data, hp),
         np.zeros(data.d + 1) if start is None
         else np.concatenate([start.w, [start.b]]),
         cfg,
     )
     return _unpack(point), trace
-
-
-def _priced(value: ObjectiveValue):
-    """``(total, gradient thunk)`` in the form :func:`minimize` takes."""
-    def grad() -> np.ndarray:
-        g = value.gradient()
-        return np.concatenate([g.grad_w, [g.grad_b]])
-    return value.total, grad

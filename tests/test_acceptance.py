@@ -26,13 +26,11 @@ from gcm import (
     eval_per_candidate,
     evaluate_model,
     generate,
-    gradient_per_candidate,
     hard_negatives_spec,
     monomial_names,
     save_binary,
     smoothed_hinge,
     smoothed_hinge_prime,
-    subgradient_grouped,
     train_gcm,
     train_mi_svm,
     train_per_candidate,
@@ -131,8 +129,7 @@ def test_criterion_03_gradients_match_finite_differences():
         ds, point = _fd_instance(7000 + case, hp.delta)
         model = LinearModel(point[:-1], float(point[-1]))
 
-        g = gradient_per_candidate(model, ds, hp)
-        analytic = np.concatenate([g.grad_w, [g.grad_b]])
+        analytic = eval_per_candidate(model, ds, hp).gradient()
         fd = fd_gradient(
             lambda p: eval_per_candidate(
                 LinearModel(p[:-1], float(p[-1])), ds, hp).total, point)
@@ -140,8 +137,7 @@ def test_criterion_03_gradients_match_finite_differences():
         worst = max(worst, rel)
         assert rel <= 1e-5
 
-        g = subgradient_grouped(model, ds, hp)
-        analytic = np.concatenate([g.grad_w, [g.grad_b]])
+        analytic = eval_grouped(model, ds, hp).gradient()
         fd = fd_gradient(
             lambda p: eval_grouped(
                 LinearModel(p[:-1], float(p[-1])), ds, hp).total, point)
@@ -165,19 +161,14 @@ def test_criterion_04_global_optimum_from_random_starts():
     cfg = SolverConfig(rel_obj_tolerance=0.0, max_iterations=3000)
 
     def objective(p):
-        return eval_per_candidate(LinearModel(p[:-1], float(p[-1])), ds, hp).total
-
-    def gradient(p):
-        g = gradient_per_candidate(LinearModel(p[:-1], float(p[-1])), ds, hp)
-        return np.concatenate([g.grad_w, [g.grad_b]])
+        return eval_per_candidate(LinearModel(p[:-1], float(p[-1])), ds, hp)
 
     from gcm import minimize
     finals = []
     for _ in range(5):
         start = rng.normal(size=6) * 3.0
-        point, _ = minimize(
-            lambda p: (objective(p), lambda: gradient(p)), start, cfg)
-        finals.append(objective(point))
+        point, _ = minimize(objective, start, cfg)
+        finals.append(objective(point).total)
     spread = (max(finals) - min(finals)) / abs(min(finals))
     assert spread <= 1e-6
     elapsed = time.perf_counter() - started

@@ -17,6 +17,7 @@ from gcm import (
     Hyperparams,
     LinearModel,
     MalformedRecordError,
+    expanded_dimension,
     fit_algorithm,
     generate,
     load_binary,
@@ -91,6 +92,7 @@ class TestSynth:
         ("--key-shift", "inf"),
         ("--decoy-shift", "nan"),
         ("--outlier-shift=-inf",),
+        ("--seed", "-1"),
     ])
     def test_invalid_spec_is_usage_error(self, preset, flags, tmp_path):
         preset_flags = ("--preset", preset) if preset else ()
@@ -238,6 +240,21 @@ class TestTrain:
         assert run("train", "--data", str(bad), "--model-out",
                    str(tmp_path / "m.json"), "--algo", "gcm",
                    "--lambda", "0.5") == 3
+
+    def test_unallocatable_expansion_is_a_data_error(self, tmp_path, capsys):
+        data = generate(GeneratorSpec(seed=1, n_pos_groups=4, n_neg_groups=12,
+                                      group_size_min=10, group_size_max=10))
+        path = tmp_path / "d.bin"
+        save_binary(data, path)
+        # the lifted matrix is far beyond the 2**47 bytes (128 TiB) a 64-bit
+        # Linux process can address, so no machine grants it
+        assert data.n_rows * expanded_dimension(13, 40) * 8 > 2**47
+        before = set(tmp_path.iterdir())
+        assert run("train", "--data", str(path), "--model-out",
+                   str(tmp_path / "m.json"), "--algo", "gcm", "--lambda",
+                   "0.5", "--expand-degree", "40") == 3
+        assert "data error:" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("delta", ["0", "0.5"])
     def test_failed_first_step_is_numerical_failure(self, delta, tmp_path,
@@ -491,6 +508,19 @@ class TestCv:
                 "--folds", "1", "--report-out", str(tmp_path / "cv.csv"))
         assert err.value.code == 2
 
+    def test_negative_seed_is_usage_error_before_reading(
+            self, easy_files, tmp_path, monkeypatch):
+        def unread(path):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(gcm.cli, "load_dataset", unread)
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        assert run("cv", "--data", str(train_path), "--algo", "gcm",
+                   "--seed", "-1", "--report-out",
+                   str(tmp_path / "cv.csv")) == 2
+        assert set(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("grid", ["0.5,1.0", "nan", ","])
     def test_bad_lambda_grid_is_usage_error(self, grid, easy_files, tmp_path):
         train_path, _ = easy_files
@@ -531,6 +561,14 @@ class TestCompare:
         before = set(tmp_path.iterdir())
         assert run("compare", "--data", str(train_path), "--lambda", "0.5",
                    "--split-fraction", "1.5", "--report-out",
+                   str(tmp_path / "c.csv")) == 2
+        assert set(tmp_path.iterdir()) == before
+
+    def test_negative_seed_is_usage_error(self, easy_files, tmp_path):
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        assert run("compare", "--data", str(train_path), "--lambda", "0.5",
+                   "--seed", "-1", "--report-out",
                    str(tmp_path / "c.csv")) == 2
         assert set(tmp_path.iterdir()) == before
 

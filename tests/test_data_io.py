@@ -28,7 +28,6 @@ from gcm import (
     save_binary,
     save_model,
     save_text,
-    subgradient_grouped,
 )
 from gcm.data_io import BINARY_MAGIC, _record_dtype
 from gcm.expansion import AffineScaler, monomial_exponents
@@ -209,10 +208,10 @@ class TestStreaming:
         save_binary(ds, path)
         model = LinearModel(rng.normal(size=3), -0.1)
         hp = Hyperparams(lam=0.5)
-        g_mem = subgradient_grouped(model, ds, hp)
-        g_stream = subgradient_grouped(model, BinaryDatasetReader(path), hp)
-        assert np.array_equal(g_mem.grad_w, g_stream.grad_w)
-        assert g_mem.grad_b == g_stream.grad_b
+        g_mem = eval_grouped(model, ds, hp).gradient()
+        g_stream = eval_grouped(model, BinaryDatasetReader(path), hp).gradient()
+        assert np.array_equal(g_mem[:-1], g_stream[:-1])
+        assert g_mem[-1] == g_stream[-1]
 
     def test_streaming_validates_group_invariants(self, tmp_path):
         d = 1
@@ -377,6 +376,11 @@ class TestGenerator:
     def test_no_positive_groups_rejected(self):
         with pytest.raises(DomainError) as err:
             GeneratorSpec(seed=0, n_pos_groups=0, n_neg_groups=5)
+        assert err.type is DomainError
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed") as err:
+            GeneratorSpec(seed=-1, n_pos_groups=1, n_neg_groups=1)
         assert err.type is DomainError
 
     @pytest.mark.parametrize("field", ["key_shift", "outlier_shift",

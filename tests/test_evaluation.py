@@ -308,6 +308,8 @@ class TestFolds:
             CvPlan(lambda_grid=())
         with pytest.raises(DomainError):
             CvPlan(lambda_grid=(0.5, 1.0))
+        with pytest.raises(DomainError, match="seed"):
+            CvPlan(seed=-1)
 
 
 class TestCrossValidate:
@@ -413,6 +415,12 @@ class TestSplitGroups:
         ds = build_grouped_dataset(rng, 3, 3, 1, 2, 2)
         with pytest.raises(DomainError) as err:
             split_groups(ds, 1.0, seed=0)
+        assert err.type is DomainError
+
+    def test_negative_seed(self, rng):
+        ds = build_grouped_dataset(rng, 3, 3, 1, 2, 2)
+        with pytest.raises(DomainError, match="seed") as err:
+            split_groups(ds, 0.5, seed=-1)
         assert err.type is DomainError
 
 

@@ -11,10 +11,8 @@ from gcm import (
     ObjectiveValue,
     eval_grouped,
     eval_per_candidate,
-    gradient_per_candidate,
     smoothed_hinge,
     smoothed_hinge_prime,
-    subgradient_grouped,
 )
 from conftest import build_grouped_dataset
 from oracles import (
@@ -99,8 +97,8 @@ def value_bits(value: ObjectiveValue) -> tuple[list[int], list[int]]:
     g = value.gradient()
     scalars = np.array([value.total, value.regularization_term,
                         value.positive_loss_term, value.negative_loss_term,
-                        g.grad_b])
-    return scalars.view(np.int64).tolist(), g.grad_w.view(np.int64).tolist()
+                        g[-1]])
+    return scalars.view(np.int64).tolist(), g[:-1].view(np.int64).tolist()
 
 
 class TestPerCandidateChunks:
@@ -177,10 +175,9 @@ class TestEvalGrouped:
         a = eval_grouped(model, ds, hp)
         b = eval_per_candidate(model, ds, hp)
         assert a.total == pytest.approx(b.total, rel=1e-12)
-        ga = subgradient_grouped(model, ds, hp)
-        gb = gradient_per_candidate(model, ds, hp)
-        assert np.allclose(ga.grad_w, gb.grad_w, rtol=1e-12, atol=1e-15)
-        assert ga.grad_b == pytest.approx(gb.grad_b, rel=1e-12, abs=1e-15)
+        ga, gb = a.gradient(), b.gradient()
+        assert np.allclose(ga[:-1], gb[:-1], rtol=1e-12, atol=1e-15)
+        assert ga[-1] == pytest.approx(gb[-1], rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_naive_oracle(self, seed):
@@ -240,17 +237,17 @@ class TestGradientPerCandidate:
         ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [1, -1], [0, 1],
                      [True, False])
         hp = Hyperparams(lam=1.0, delta=0.0)
-        g = gradient_per_candidate(LinearModel(np.zeros(2), 0.0), ds, hp)
-        assert np.allclose(g.grad_w, [2.0, 2.0])
-        assert g.grad_b == 0.0
+        g = eval_per_candidate(LinearModel(np.zeros(2), 0.0), ds, hp).gradient()
+        assert np.allclose(g[:-1], [2.0, 2.0])
+        assert g[-1] == 0.0
 
     def test_lambda_zero_huber_only(self, rng):
         ds = build_grouped_dataset(rng, 1, 1, 1, 2, 2)
         w = np.array([0.4, -2.0])
         hp = Hyperparams(lam=0.0, epsilon=1.0)
-        g = gradient_per_candidate(LinearModel(w, 0.5), ds, hp)
-        assert np.allclose(g.grad_w, np.array([0.4, -1.0]) / 2)
-        assert g.grad_b == 0.0
+        g = eval_per_candidate(LinearModel(w, 0.5), ds, hp).gradient()
+        assert np.allclose(g[:-1], np.array([0.4, -1.0]) / 2)
+        assert g[-1] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -263,8 +260,7 @@ class TestGradientPerCandidate:
         near = (np.abs(margins - 1.0) < 1e-3) | (np.abs(margins) < 1e-3)
         if np.any(near):
             pytest.skip("margins too close to a region boundary for FD")
-        g = gradient_per_candidate(model, ds, hp)
-        analytic = np.concatenate([g.grad_w, [g.grad_b]])
+        analytic = eval_per_candidate(model, ds, hp).gradient()
         fd = fd_gradient(pack_objective(None, ds, hp, grouped=False), point)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-5
@@ -276,18 +272,18 @@ class TestSubgradientGrouped:
         ds = Dataset(X, [-1, -1, 1], [0, 0, 1], [False, False, True])
         hp = Hyperparams(lam=1.0, delta=0.0)
         model = LinearModel(np.array([1.0]), 0.0)
-        g = subgradient_grouped(model, ds, hp)
+        g = eval_grouped(model, ds, hp).gradient()
         # negative group argmax-loss row is x = 5 (score 5, margin -5);
         # positive key x = 1 has margin 1, zero loss and zero derivative
-        assert g.grad_w[0] == pytest.approx(5.0)
-        assert g.grad_b == pytest.approx(1.0)
+        assert g[0] == pytest.approx(5.0)
+        assert g[-1] == pytest.approx(1.0)
 
     def test_inactive_negative_group_contributes_nothing(self):
         X = np.array([[-3.0], [-2.0], [2.0]])
         ds = Dataset(X, [-1, -1, 1], [0, 0, 1], [False, False, True])
         hp = Hyperparams(lam=1.0, delta=0.0)
-        g = subgradient_grouped(LinearModel(np.array([1.0]), 0.0), ds, hp)
-        assert g.grad_w[0] == 0.0 and g.grad_b == 0.0
+        g = eval_grouped(LinearModel(np.array([1.0]), 0.0), ds, hp).gradient()
+        assert g[0] == 0.0 and g[-1] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences_away_from_ties(self, seed):
@@ -310,8 +306,7 @@ class TestSubgradientGrouped:
                         tied = True
             if tied:
                 continue
-            g = subgradient_grouped(model, ds, hp)
-            analytic = np.concatenate([g.grad_w, [g.grad_b]])
+            analytic = eval_grouped(model, ds, hp).gradient()
             fd = fd_gradient(pack_objective(None, ds, hp, grouped=True), point)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
             assert rel <= 1e-5
@@ -327,8 +322,7 @@ class TestSubgradientGrouped:
         for trial in range(20):
             point = np.concatenate([rng.normal(size=4), [float(rng.normal())]])
             model = LinearModel(point[:-1], float(point[-1]))
-            g = subgradient_grouped(model, ds, hp)
-            gvec = np.concatenate([g.grad_w, [g.grad_b]])
+            gvec = eval_grouped(model, ds, hp).gradient()
             for s in (1e-4, 1e-5):
                 u = rng.normal(size=5)
                 assert f(point + s * u) >= f(point) + s * float(gvec @ u) - 1e-8
@@ -365,4 +359,4 @@ class TestObjectiveValue:
             assert value == ObjectiveValue(
                 value.total, value.regularization_term,
                 value.positive_loss_term, value.negative_loss_term)
-            assert value.gradient().grad_w.shape == (2,)
+            assert value.gradient().shape == (3,)

@@ -8,24 +8,28 @@ from gcm import (
     Hyperparams,
     LinearModel,
     NumericalError,
+    ObjectiveValue,
     SolverConfig,
     Termination,
     eval_grouped,
     eval_per_candidate,
     generate,
-    gradient_per_candidate,
     minimize,
     save_binary,
-    subgradient_grouped,
     train_gcm,
     train_per_candidate,
 )
 from conftest import build_grouped_dataset
 
 
+def value_of(total, grad):
+    """An objective value for :func:`minimize`: a total and a gradient thunk."""
+    return ObjectiveValue(total, total, 0.0, 0.0, grad)
+
+
 def fused(f, g):
-    """The ``value_and_grad`` callable of :func:`minimize`, from f and g."""
-    return lambda x: (f(x), lambda: g(x))
+    """The objective callable of :func:`minimize`, from f and g."""
+    return lambda x: value_of(f(x), lambda: g(x))
 
 
 def per_candidate_problem(ds, hp):
@@ -33,8 +37,8 @@ def per_candidate_problem(ds, hp):
         return eval_per_candidate(LinearModel(p[:-1], float(p[-1])), ds, hp).total
 
     def g(p):
-        grad = gradient_per_candidate(LinearModel(p[:-1], float(p[-1])), ds, hp)
-        return np.concatenate([grad.grad_w, [grad.grad_b]])
+        return eval_per_candidate(LinearModel(p[:-1], float(p[-1])), ds,
+                                  hp).gradient()
 
     return f, g
 
@@ -76,8 +80,8 @@ class TestOnObjectives:
             return eval_grouped(LinearModel(p[:-1], float(p[-1])), ds, hp).total
 
         def g(p):
-            grad = subgradient_grouped(LinearModel(p[:-1], float(p[-1])), ds, hp)
-            return np.concatenate([grad.grad_w, [grad.grad_b]])
+            return eval_grouped(LinearModel(p[:-1], float(p[-1])), ds,
+                                hp).gradient()
 
         point, trace = minimize(fused(f, g), np.zeros(5))
         hist = np.array(trace.objective_history)
@@ -137,7 +141,7 @@ class TestSolverBehavior:
             start = np.array([1.0])
         priced, graded = [], []
 
-        def value_and_grad(x):
+        def objective(x):
             index = len(priced)
             priced.append(f(x))
 
@@ -145,9 +149,9 @@ class TestSolverBehavior:
                 graded.append(index)
                 return g(x)
 
-            return priced[index], grad
+            return value_of(priced[index], grad)
 
-        _, trace = minimize(value_and_grad, start,
+        _, trace = minimize(objective, start,
                             SolverConfig(max_iterations=500))
         assert len(graded) == 1 + trace.iterations
         assert len(priced) > len(graded)  # some trials were rejected
@@ -185,24 +189,20 @@ class TestFusedGradient:
     """Trainers take each gradient from the pass that priced the point.
 
     The reference solve prices each point with ``eval_*(...).total`` and
-    takes each gradient from a fresh ``subgradient_grouped`` or
-    ``gradient_per_candidate`` call at that point.
+    takes each gradient from a fresh ``eval_*(...).gradient()`` pass at that
+    point.
     """
 
     CFG = SolverConfig(max_iterations=40)
 
     @staticmethod
-    def reference(evaluate, gradient, data, hp, start):
-        def value_and_grad(p):
+    def reference(evaluate, data, hp, start):
+        def objective(p):
             model = LinearModel(p[:-1], float(p[-1]))
+            return value_of(evaluate(model, data, hp).total,
+                            lambda: evaluate(model, data, hp).gradient())
 
-            def grad():
-                g = gradient(model, data, hp)
-                return np.concatenate([g.grad_w, [g.grad_b]])
-
-            return evaluate(model, data, hp).total, grad
-
-        point, trace = minimize(value_and_grad, start, TestFusedGradient.CFG)
+        point, trace = minimize(objective, start, TestFusedGradient.CFG)
         return LinearModel(point[:-1], float(point[-1])), trace
 
     @staticmethod
@@ -220,8 +220,7 @@ class TestFusedGradient:
         ds = generate(GeneratorSpec(seed=5, n_pos_groups=10, n_neg_groups=30,
                                     group_size_min=2, group_size_max=7, d=4))
         hp = Hyperparams(lam=0.5, delta=delta)
-        want = self.reference(eval_grouped, subgradient_grouped, ds, hp,
-                              np.zeros(5))
+        want = self.reference(eval_grouped, ds, hp, np.zeros(5))
         self.assert_same(train_gcm(ds, hp, self.CFG), want)
         path = tmp_path / "d.bin"
         save_binary(ds, path)
@@ -233,7 +232,7 @@ class TestFusedGradient:
         ds = build_grouped_dataset(rng, 12, 20, 2, 7, 4)
         hp = Hyperparams(lam=0.5, delta=delta)
         start = LinearModel(rng.normal(size=4), 0.3)
-        want = self.reference(eval_per_candidate, gradient_per_candidate, ds,
-                              hp, np.concatenate([start.w, [start.b]]))
+        want = self.reference(eval_per_candidate, ds, hp,
+                              np.concatenate([start.w, [start.b]]))
         self.assert_same(train_per_candidate(ds, hp, self.CFG, start=start),
                          want)
