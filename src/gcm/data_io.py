@@ -11,6 +11,7 @@ bit-exactly via their shortest repr.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ BINARY_VERSION = 1
 _HEADER_DTYPE = np.dtype([
     ("magic", "S4"), ("version", "<u4"), ("d", "<u4"), ("n_rows", "<u8"),
 ])
+#: Most features a record can hold: numpy item sizes are C ints, and a
+#: record is 10 bytes plus 8 per feature.
+_MAX_D = (np.iinfo(np.intc).max - 10) // 8
 
 MODEL_FORMAT = "gcm-model"
 MODEL_VERSION = 1
@@ -99,14 +103,10 @@ def load_text(path) -> Dataset:
                 feats = [float(v) for v in parts[3:]]
             except ValueError as exc:
                 raise MalformedRecordError(str(exc), f"line {lineno}") from exc
-            if label not in (1, -1):
+            if gid < 0 or label not in (1, -1) or key not in (0, 1):
                 raise MalformedRecordError(
-                    f"label must be +1 or -1, got {parts[1]}", f"line {lineno}"
-                )
-            if key not in (0, 1):
-                raise MalformedRecordError(
-                    f"is_key must be 0 or 1, got {parts[2]}", f"line {lineno}"
-                )
+                    "need group_id >= 0, label +1 or -1 and is_key 0 or 1, "
+                    f"got {','.join(parts[:3])}", f"line {lineno}")
             group_ids.append(gid)
             labels.append(label)
             is_key.append(bool(key))
@@ -137,6 +137,12 @@ def save_binary(data: Dataset, path):
 
 
 def _read_header(fh, path) -> tuple[int, int]:
+    """Check an open binary dataset file whole; return its ``d, n_rows``.
+
+    The header must promise ``1 <= d <= _MAX_D`` and ``n_rows >= 1``, and the
+    file must be exactly ``20 + n_rows * (10 + 8 * d)`` bytes. Leaves ``fh``
+    at row 0.
+    """
     raw = fh.read(_HEADER_DTYPE.itemsize)
     if len(raw) < _HEADER_DTYPE.itemsize:
         raise MalformedRecordError("file too short for header", str(path))
@@ -148,7 +154,26 @@ def _read_header(fh, path) -> tuple[int, int]:
             f"binary dataset version {int(header['version'])} is not supported",
             str(path),
         )
-    return int(header["d"]), int(header["n_rows"])
+    d, n_rows = int(header["d"]), int(header["n_rows"])
+    if not 1 <= d <= _MAX_D or n_rows < 1:
+        raise MalformedRecordError(
+            f"header must promise 1 <= d <= {_MAX_D} and n_rows >= 1, "
+            f"got d = {d} and n_rows = {n_rows}", str(path))
+    # a record is a u8 group id, an i1 label, a u1 key flag and d float64s
+    expected = _HEADER_DTYPE.itemsize + n_rows * (10 + 8 * d)
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise MalformedRecordError(
+            f"header promises {n_rows} rows of {d} features in {expected} "
+            f"bytes, file has {size} bytes", str(path))
+    return d, n_rows
+
+
+def _read_records(fh, records: np.ndarray, path):
+    """Fill ``records`` from ``fh``; after :func:`_read_header`, a short read
+    means the file shrank while it was read."""
+    if fh.readinto(records.view(np.uint8)) != records.nbytes:
+        raise MalformedRecordError("file shrank while it was read", str(path))
 
 
 def _group_ids(records: np.ndarray, path) -> np.ndarray:
@@ -158,7 +183,7 @@ def _group_ids(records: np.ndarray, path) -> np.ndarray:
     because differences of unsigned ids wrap instead of going negative.
     """
     ids = records["group_id"]
-    if len(ids) and ids.max() > np.iinfo(np.int64).max:
+    if ids.max() > np.iinfo(np.int64).max:
         raise MalformedRecordError("group_id must be below 2**63", str(path))
     ids = ids.astype(np.int64)
     if np.any(np.diff(ids) < 0):
@@ -169,7 +194,8 @@ def _group_ids(records: np.ndarray, path) -> np.ndarray:
 class BinaryDatasetReader:
     """Single-pass streaming access to a binary dataset file.
 
-    Iterating yields the same group-aligned blocks as
+    The file is checked whole (:func:`_read_header`) at construction and at
+    every pass. Iterating yields the same group-aligned blocks as
     :meth:`Dataset.iter_group_blocks` over the identical data, cut by the
     same :func:`~gcm.model.partition_groups`, so objective values computed
     either way agree bit-for-bit. Each block goes through the same
@@ -183,6 +209,8 @@ class BinaryDatasetReader:
     """
 
     def __init__(self, path, read_chunk_rows: int = DEFAULT_BLOCK_ROWS):
+        if read_chunk_rows < 1:
+            raise DomainError(f"read_chunk_rows must be >= 1, got {read_chunk_rows}")
         self.path = path
         self.read_chunk_rows = read_chunk_rows
         with open(path, "rb") as fh:
@@ -194,38 +222,32 @@ class BinaryDatasetReader:
 
         Each read chunk is appended to the rows not yet yielded, and those
         rows are cut into blocks. The last block holds the last group, which
-        the next chunk may continue, so it is held back until end of file.
+        the next chunk may continue, so it is held back until the last chunk.
         A read takes at least as many rows as are held back, so copying them
         forward costs no more than the read itself.
         """
         with open(self.path, "rb") as fh:
-            fh.seek(_HEADER_DTYPE.itemsize)
+            if _read_header(fh, self.path) != (self.d, self.n_rows):
+                raise MalformedRecordError("file changed since it was opened",
+                                           str(self.path))
             tail = np.empty(0, dtype=self._dtype)
-            seen = 0
-            eof = False
-            while not eof:
-                want = max(self.read_chunk_rows, len(tail))
+            left = self.n_rows
+            while left:
+                want = min(max(self.read_chunk_rows, len(tail)), left)
                 buf = np.empty(len(tail) + want, dtype=self._dtype)
                 buf[:len(tail)] = tail
-                # a partial record at a truncated end is dropped here and
-                # caught by the row count check
-                got = fh.readinto(buf[len(tail):].view(np.uint8))
-                got //= self._dtype.itemsize
-                seen += got
-                eof = got < want
-                buf = buf[:len(tail) + got]
-                if len(buf) == 0:
-                    break
+                _read_records(fh, buf[len(tail):], self.path)
+                left -= want
                 gids = _group_ids(buf, self.path)
                 starts = group_starts(gids)
                 cuts = partition_groups(starts, max_rows)
-                if not eof:
+                if left:
                     cuts = cuts[:-1]
                 for k, j in zip(cuts[:-1], cuts[1:]):
                     lo, hi = starts[k], starts[j]
                     rows = buf[lo:hi]
                     labels = rows["label"].astype(np.int8)
-                    is_key = rows["is_key"].astype(bool)
+                    is_key = rows["is_key"].copy()  # contiguous: checks fast
                     block_ids = gids[lo:hi]
                     block_starts = starts[k:j + 1] - lo
                     validate_groups(labels, is_key, block_ids, block_starts,
@@ -234,16 +256,11 @@ class BinaryDatasetReader:
                         X=_column_major_copy(rows["features"], block_ids,
                                              self.path),
                         labels=labels,
-                        is_key=is_key,
+                        is_key=is_key.astype(bool),
                         group_ids=block_ids,
                         starts=block_starts,
                     )
                 tail = buf[starts[cuts[-1]]:]
-            if seen != self.n_rows:
-                raise MalformedRecordError(
-                    f"header promises {self.n_rows} rows, file holds {seen}",
-                    str(self.path),
-                )
 
 
 def load_binary(path) -> Dataset:
@@ -254,12 +271,8 @@ def load_binary(path) -> Dataset:
     """
     with open(path, "rb") as fh:
         d, n_rows = _read_header(fh, path)
-        records = np.fromfile(fh, dtype=_record_dtype(d), count=n_rows)
-        if len(records) != n_rows:
-            raise MalformedRecordError(
-                f"header promises {n_rows} rows, file holds {len(records)}",
-                str(path),
-            )
+        records = np.empty(n_rows, dtype=_record_dtype(d))
+        _read_records(fh, records, path)
     return Dataset(records["features"], records["label"],
                    _group_ids(records, path), records["is_key"])
 

@@ -5,10 +5,10 @@ that every group occupies one contiguous block (stable sort by group id, input
 order preserved inside each group) and stores its features column-major. This
 module also owns the two rules that every source of group-aligned blocks
 shares, in memory or streamed: :func:`validate_groups` checks the structural
-invariants that the grouped objectives rely on (labels of +1 or -1,
-homogeneous labels per group, exactly one key candidate per positive group),
-and :func:`partition_groups` cuts groups into blocks. All types are immutable
-after construction.
+invariants that the grouped objectives rely on (labels of +1 or -1, key
+flags of 0 or 1, homogeneous labels per group, exactly one key candidate per
+positive group), and :func:`partition_groups` cuts groups into blocks. All
+types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -155,11 +155,12 @@ def validate_groups(labels, is_key, group_ids, starts, path=None):
     """Check the invariants of rows that are already grouped at ``starts``.
 
     ``starts`` holds the first row of each group plus a trailing sentinel, as
-    in :class:`GroupBlock`; ``is_key`` is boolean. Labels are checked as
-    given, so pass them before any narrowing cast. Raises, for the first
+    in :class:`GroupBlock`. Labels and key flags are checked as given, so
+    pass them before any narrowing or ``bool`` cast. Raises, for the first
     failing check:
 
     * :class:`MalformedRecordError` for a label other than +1 or -1;
+    * :class:`MalformedRecordError` for a key flag other than 0 or 1;
     * :class:`MixedLabelGroupError` for a group with both labels;
     * :class:`MalformedRecordError` for a key flag in a negative group;
     * :class:`MissingKeyError` or :class:`MultipleKeysError` for a positive
@@ -175,11 +176,16 @@ def validate_groups(labels, is_key, group_ids, starts, path=None):
     if bad.size:
         fail(MalformedRecordError,
              f"label must be +1 or -1, got {labels[bad[0]]}", bad[0])
+    keys = is_key.astype(bool)
+    bad = np.flatnonzero(keys != is_key)  # the cast changes any other flag
+    if bad.size:
+        fail(MalformedRecordError,
+             f"is_key must be 0 or 1, got {is_key[bad[0]]}", bad[0])
     group_labels = labels[starts[:-1]]
     bad = np.flatnonzero(labels != np.repeat(group_labels, np.diff(starts)))
     if bad.size:
         fail(MixedLabelGroupError, "group mixes positive and negative rows", bad[0])
-    key_counts = np.diff(np.searchsorted(np.flatnonzero(is_key), starts))
+    key_counts = np.diff(np.searchsorted(np.flatnonzero(keys), starts))
     pos = group_labels == 1
     for error, message, bad in (
         (MalformedRecordError, "is_key is only valid on positive rows",
@@ -228,13 +234,16 @@ class Dataset:
     After sorting, the rows go through :func:`validate_groups`, the same
     check that :class:`~gcm.data_io.BinaryDatasetReader` runs on each block,
     so a broken group invariant raises the same error type in memory and
-    streamed. Labels are checked before they are narrowed to ``int8``.
+    streamed. Labels and key flags are checked before they are narrowed to
+    ``int8`` and ``bool``.
     """
 
     def __init__(self, features, labels, group_ids, is_key):
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
             raise MalformedRecordError(f"features must be 2-D, got shape {X.shape}")
+        if X.shape[1] == 0:
+            raise MalformedRecordError("features must have at least one column")
         labels = np.asarray(labels)
         if labels.dtype.kind not in "iuf":
             raise MalformedRecordError(f"labels must be numbers, got {labels.dtype}")
@@ -242,7 +251,9 @@ class Dataset:
             group_ids = np.asarray(group_ids).astype(np.int64, casting="safe")
         except TypeError as exc:
             raise MalformedRecordError("group_ids cannot be converted to int64") from exc
-        is_key = np.asarray(is_key).astype(bool)
+        is_key = np.array(is_key)  # an own contiguous copy, checked raw
+        if is_key.dtype.kind not in "biuf":
+            raise MalformedRecordError(f"is_key must be numbers, got {is_key.dtype}")
         n = X.shape[0]
         if n == 0:
             raise MalformedRecordError("dataset must contain at least one row")
@@ -268,7 +279,7 @@ class Dataset:
         self.X = _column_major_copy(X, group_ids, order=order)
         self.labels = labels.astype(np.int8)
         self.group_ids = group_ids
-        self.is_key = is_key
+        self.is_key = is_key.astype(bool, copy=False)
         self.group_starts = starts
         self.group_labels = self.labels[starts[:-1]]
         for arr in (self.X, self.labels, self.group_ids, self.is_key,

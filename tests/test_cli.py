@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import struct
 import sys
 import types
 import warnings
@@ -254,6 +255,30 @@ class TestTrain:
                    str(tmp_path / "m.json"), "--algo", "gcm", "--lambda",
                    "0.5", "--expand-degree", "40") == 3
         assert "data error:" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("damage", ["header only, d = 2**31",
+                                        "cut by 5 bytes"])
+    def test_bad_binary_file_is_a_data_error(self, command, damage,
+                                             easy_files, tmp_path, capsys):
+        train_path, _ = easy_files
+        model = tmp_path / "m.json"
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(model), "--algo", "gcm", "--lambda", "0.5") == 0
+        raw = train_path.read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:8] + struct.pack("<I", 2**31) + raw[12:20]
+                        if damage.startswith("header") else raw[:-5])
+        out = tmp_path / "out"
+        argv = (["train", "--data", str(bad), "--model-out", str(out),
+                 "--algo", "gcm", "--lambda", "0.5"] if command == "train"
+                else ["evaluate", "--model", str(model), "--data", str(bad),
+                      "--report-out", str(out)])
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert f"at {bad}" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("delta", ["0", "0.5"])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gcm import (
     save_model,
     save_text,
 )
-from gcm.data_io import BINARY_MAGIC, _record_dtype
+from gcm.data_io import BINARY_MAGIC, _HEADER_DTYPE, _record_dtype
 from gcm.expansion import AffineScaler, monomial_exponents
 from conftest import build_grouped_dataset
 
@@ -69,6 +70,14 @@ class TestTextFormat:
         path.write_text("group_id,label,is_key,f1\n0,2,0,0.5\n")
         with pytest.raises(MalformedRecordError, match="line 2"):
             load_text(path)
+
+    def test_negative_group_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("group_id,label,is_key,f1,f2\n0,+1,1,0.5,0.5\n"
+                        "-3,1,0,1,2\n")
+        with pytest.raises(MalformedRecordError) as err:
+            load_text(path)
+        assert err.value.location == "line 3"
 
     def test_missing_key_names_group(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -213,6 +222,13 @@ class TestStreaming:
         assert np.array_equal(g_mem[:-1], g_stream[:-1])
         assert g_mem[-1] == g_stream[-1]
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_read_chunk_below_one_row_rejected(self, tmp_path, chunk):
+        path = tmp_path / "s.bin"
+        path.write_bytes(VALID_FILE)
+        with pytest.raises(DomainError, match="read_chunk_rows"):
+            BinaryDatasetReader(path, read_chunk_rows=chunk)
+
     def test_streaming_validates_group_invariants(self, tmp_path):
         d = 1
         records = np.zeros(2, dtype=_record_dtype(d))
@@ -235,17 +251,105 @@ class TestStreaming:
                 pass
 
 
-def write_records(path, records):
-    """A binary dataset file holding ``records`` exactly as given."""
-    header = np.zeros(1, dtype=np.dtype(
-        [("magic", "S4"), ("version", "<u4"), ("d", "<u4"), ("n_rows", "<u8")]))
+def binary_header(d, n_rows):
+    """The header bytes of a binary dataset file promising these counts."""
+    header = np.zeros(1, dtype=_HEADER_DTYPE)
     header["magic"] = BINARY_MAGIC
     header["version"] = 1
-    header["d"] = records["features"].shape[1]
-    header["n_rows"] = len(records)
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        records.tofile(fh)
+    header["d"] = d
+    header["n_rows"] = n_rows
+    return header.tobytes()
+
+
+def write_records(path, records):
+    """A binary dataset file holding ``records`` exactly as given."""
+    path.write_bytes(binary_header(records["features"].shape[1], len(records))
+                     + records.tobytes())
+
+
+def valid_records(d):
+    """Six valid rows of ``d`` features in four groups."""
+    records = np.zeros(6, dtype=_record_dtype(d))
+    records["group_id"] = [0, 0, 1, 2, 2, 3]
+    records["label"] = [1, 1, -1, 1, 1, -1]
+    records["is_key"] = [1, 0, 0, 0, 1, 0]
+    records["features"] = np.arange(6.0 * d).reshape(6, d)
+    return records
+
+
+#: A valid file of six records of d = 2, 26 bytes each.
+VALID_FILE = binary_header(2, 6) + valid_records(2).tobytes()
+
+#: Files that disagree with their own header.
+BAD_FILES = {
+    "one extra record": VALID_FILE + VALID_FILE[-26:],
+    "5 trailing bytes": VALID_FILE + bytes(5),
+    "cut by one record": VALID_FILE[:-26],
+    "cut by 17 bytes": VALID_FILE[:-17],
+    "d = 0": binary_header(0, 6) + valid_records(0).tobytes(),
+    "n_rows = 0": binary_header(2, 0),
+    "header only, d = 2**31": binary_header(2**31, 1),
+    "header only, n_rows = 2**62": binary_header(2, 2**62),
+}
+
+
+class TestHeaderCheck:
+    """A binary file is checked whole against its header when it is opened."""
+
+    def test_valid_file_loads(self, tmp_path):
+        path = tmp_path / "ok.bin"
+        path.write_bytes(VALID_FILE)
+        assert load_binary(path).n_rows == 6
+        assert len(list(BinaryDatasetReader(path).iter_group_blocks())) == 1
+
+    @staticmethod
+    def assert_rejected_at_open(path):
+        for open_file in (load_binary, BinaryDatasetReader):
+            with pytest.raises(MalformedRecordError) as err:
+                open_file(path)
+            assert err.value.location == str(path)
+
+    @pytest.mark.parametrize("case", BAD_FILES)
+    def test_rejected_at_open(self, tmp_path, case):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(BAD_FILES[case])
+        self.assert_rejected_at_open(path)
+
+    def test_rejects_records_too_wide_for_numpy(self, tmp_path):
+        # sized as promised, but numpy item sizes are C ints, < 2**31 bytes
+        d = 2**28
+        path = tmp_path / "wide.bin"
+        with open(path, "wb") as fh:
+            fh.write(binary_header(d, 1))
+            fh.truncate(_HEADER_DTYPE.itemsize + 10 + 8 * d)  # sparse
+        self.assert_rejected_at_open(path)
+
+    def test_every_pass_checks_the_file_again(self, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(VALID_FILE)
+        reader = BinaryDatasetReader(path)
+        list(reader.iter_group_blocks())
+        path.write_bytes(VALID_FILE[:-17])
+        with pytest.raises(MalformedRecordError):
+            next(reader.iter_group_blocks())
+        path.write_bytes(binary_header(3, 6) + valid_records(3).tobytes())
+        with pytest.raises(MalformedRecordError, match="changed"):
+            next(reader.iter_group_blocks())
+
+    def test_file_shrinking_mid_pass_fails_at_the_short_read(self, tmp_path):
+        # larger than the read buffer, so the cut is seen by a later read
+        records = np.zeros(2000, dtype=_record_dtype(2))
+        records["group_id"] = np.arange(2000)
+        records["label"] = -1
+        path = tmp_path / "s.bin"
+        write_records(path, records)
+        blocks = BinaryDatasetReader(path, read_chunk_rows=16).iter_group_blocks(
+            max_rows=16)
+        next(blocks)
+        os.truncate(path, _HEADER_DTYPE.itemsize + 100 * records.itemsize)
+        with pytest.raises(MalformedRecordError, match="shrank") as err:
+            list(blocks)
+        assert err.value.location == str(path)
 
 
 class TestNanFeatures:
@@ -290,6 +394,7 @@ FAULTS = {
     "two keys": (MultipleKeysError, 10, 1, "is_key", 1),
     "key on a negative row": (MalformedRecordError, 11, 3, "is_key", 1),
     "label not +1 or -1": (MalformedRecordError, 12, 6, "label", 2),
+    "key flag not 0 or 1": (MalformedRecordError, 13, 9, "is_key", 2),
     "NaN feature": (MalformedRecordError, 13, 9, "features", np.nan),
     "+inf feature": (MalformedRecordError, 13, 8, "features", np.inf),
     "-inf feature": (MalformedRecordError, 11, 3, "features", -np.inf),
@@ -326,9 +431,10 @@ class TestOneFaultOneError:
             f"{float(r['features'][0])!r},{float(r['features'][1])!r}"
             for r in records]
         text_path.write_text("\n".join(lines) + "\n")
-        # the CSV parser checks a label on its own line, before grouping
-        text_at = (f"line {row + 2}" if fault == "label not +1 or -1"
-                   else f"group {gid}")
+        # the CSV parser checks a label and a key flag on its own line,
+        # before grouping
+        text_at = (f"line {row + 2}" if fault in (
+            "label not +1 or -1", "key flag not 0 or 1") else f"group {gid}")
         attempts = [
             (lambda: Dataset(records["features"], records["label"],
                              records["group_id"].astype(np.int64),

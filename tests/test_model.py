@@ -80,6 +80,21 @@ class TestDatasetValidation:
         with pytest.raises(MalformedRecordError, match="got 255"):
             Dataset(np.zeros((2, 1)), [1, 255], [0, 1], [True, False])
 
+    @pytest.mark.parametrize("flag", [2, 0.5, np.nan])
+    def test_key_flag_other_than_0_or_1_rejected(self, flag):
+        # checked before the bool cast, under which each would read as a key
+        with pytest.raises(MalformedRecordError, match="is_key") as err:
+            Dataset(np.zeros((3, 1)), [1, -1, -1], [0, 1, 1], [flag, 0, 0])
+        assert err.value.location == "group 0"
+
+    def test_non_numeric_key_flags_rejected(self):
+        with pytest.raises(MalformedRecordError, match="is_key must be numbers"):
+            Dataset(np.zeros((2, 1)), [1, -1], [0, 1], np.array(["1", "0"]))
+
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(MalformedRecordError, match="at least one column"):
+            Dataset(np.zeros((3, 0)), [1, -1, -1], [0, 1, 1], [1, 0, 0])
+
     def test_negative_group_id_rejected(self):
         with pytest.raises(MalformedRecordError):
             Dataset(np.zeros((1, 1)), [-1], [-5], [False])
