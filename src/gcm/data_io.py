@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floattext import csv_lines, float_text, int_text
 from .errors import (
     DomainError,
     MalformedRecordError,
@@ -61,19 +62,30 @@ def _record_dtype(d: int) -> np.dtype:
 # -- text format ---------------------------------------------------------------
 
 
+#: Features formatted per write of :func:`save_text`.
+_TEXT_CHUNK_VALUES = 1 << 16
+#: The text of a label (-1, +1) and of a key flag (0, 1), by index.
+_LABEL_TEXT = np.frombuffer(b"-1+1", dtype=np.uint8).reshape(2, 2)
+_KEY_TEXT = np.frombuffer(b"01", dtype=np.uint8).reshape(2, 1)
+
+
 def save_text(data: Dataset, path):
-    """Write a dataset in the CSV text format."""
+    """Write a dataset in the CSV text format, each feature as its ``repr``,
+    in chunks of about ``_TEXT_CHUNK_VALUES`` features."""
     header = "group_id,label,is_key," + ",".join(
         f"f{j + 1}" for j in range(data.d)
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(data.n_rows):
-            feats = ",".join(repr(float(v)) for v in data.X[i])
-            fh.write(
-                f"{data.group_ids[i]},{'+1' if data.labels[i] == 1 else '-1'},"
-                f"{1 if data.is_key[i] else 0},{feats}\n"
-            )
+    rows = max(1, _TEXT_CHUNK_VALUES // data.d)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, data.n_rows, rows):
+            hi = min(lo + rows, data.n_rows)
+            feats = float_text(data.X[lo:hi]).reshape(hi - lo, data.d, -1)
+            fh.write(csv_lines([
+                int_text(data.group_ids[lo:hi]),
+                _LABEL_TEXT[(data.labels[lo:hi] == 1).view(np.uint8)],
+                _KEY_TEXT[data.is_key[lo:hi].view(np.uint8)],
+                *feats.transpose(1, 0, 2)]))
 
 
 def load_text(path) -> Dataset:
@@ -103,10 +115,10 @@ def load_text(path) -> Dataset:
                 feats = [float(v) for v in parts[3:]]
             except ValueError as exc:
                 raise MalformedRecordError(str(exc), f"line {lineno}") from exc
-            if gid < 0 or label not in (1, -1) or key not in (0, 1):
+            if not (0 <= gid < 2**63 and label in (1, -1) and key in (0, 1)):
                 raise MalformedRecordError(
-                    "need group_id >= 0, label +1 or -1 and is_key 0 or 1, "
-                    f"got {','.join(parts[:3])}", f"line {lineno}")
+                    "need 0 <= group_id < 2**63, label +1 or -1 and is_key "
+                    f"0 or 1, got {','.join(parts[:3])}", f"line {lineno}")
             group_ids.append(gid)
             labels.append(label)
             is_key.append(bool(key))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floattext import csv_lines, float_text, int_text
 from .baselines import MISVM_INNER_EPSILON, MISVM_MAX_OUTER, train_mi_svm
 from .errors import ConfigurationError, DomainError
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Dataset, Hyperparams, LinearModel
@@ -170,7 +171,7 @@ def evaluate_model(model: LinearModel, data: Dataset) -> EvalReport:
 
 
 #: Rows formatted per write, so a report never sits in memory whole.
-_REPORT_CHUNK_ROWS = 16384
+_REPORT_CHUNK_ROWS = 8192
 
 
 def write_report_csv(report: EvalReport, path):
@@ -178,31 +179,36 @@ def write_report_csv(report: EvalReport, path):
 
     Each level's points are formatted and written in chunks of
     ``_REPORT_CHUNK_ROWS`` rows; the bytes do not depend on the chunk size.
+    Floats are written as their ``repr``.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("level,fpr,tpr,threshold\n")
+    with open(path, "wb") as fh:
+        fh.write(b"level,fpr,tpr,threshold\n")
         for level, roc in (("candidate", report.candidate_roc),
                            ("group", report.group_roc)):
             fpr, tpr, thr = np.asarray(roc, dtype=np.float64).T
             # tpr takes at most n_pos + 1 values: format each one once
             tpr_values, tpr_index = np.unique(tpr, return_inverse=True)
-            tpr_text = [repr(v) for v in tpr_values.tolist()]
+            tpr_text = float_text(tpr_values)
             for lo in range(0, len(fpr), _REPORT_CHUNK_ROWS):
                 hi = lo + _REPORT_CHUNK_ROWS
-                fh.write("".join(
-                    f"{level},{a!r},{tpr_text[i]},{c!r}\n"
-                    for a, i, c in zip(fpr[lo:hi].tolist(),
-                                       tpr_index[lo:hi].tolist(),
-                                       thr[lo:hi].tolist())))
+                fh.write(csv_lines([level.encode(), float_text(fpr[lo:hi]),
+                                    tpr_text[tpr_index[lo:hi]],
+                                    float_text(thr[lo:hi])]))
         fh.write(f"# auc candidate={report.candidate_auc!r} "
-                 f"group={report.group_auc!r}\n")
+                 f"group={report.group_auc!r}\n".encode())
 
 
 def write_groups_csv(groups, path):
-    """Serialize :func:`score_groups`' arrays, one row per group."""
-    _write_lines(path, ["group_id,label,group_score,argmax_row"] + [
-        f"{gid},{label},{score!r},{row}"
-        for gid, label, score, row in zip(*(a.tolist() for a in groups))])
+    """Serialize :func:`score_groups`' arrays, one row per group, in chunks
+    of ``_REPORT_CHUNK_ROWS`` rows; the score is written as its ``repr``."""
+    gids, labels, scores, rows = groups
+    with open(path, "wb") as fh:
+        fh.write(b"group_id,label,group_score,argmax_row\n")
+        for lo in range(0, len(gids), _REPORT_CHUNK_ROWS):
+            hi = lo + _REPORT_CHUNK_ROWS
+            fh.write(csv_lines([int_text(gids[lo:hi]), int_text(labels[lo:hi]),
+                                float_text(scores[lo:hi]),
+                                int_text(rows[lo:hi])]))
 
 
 def _write_lines(path, lines):

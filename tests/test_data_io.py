@@ -79,6 +79,25 @@ class TestTextFormat:
             load_text(path)
         assert err.value.location == "line 3"
 
+    def test_group_id_from_2_to_the_63_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("group_id,label,is_key,f1\n0,+1,1,0.5\n"
+                        "9223372036854775808,-1,0,1.0\n")
+        with pytest.raises(MalformedRecordError) as err:
+            load_text(path)
+        assert err.value.location == "line 3"
+
+    def test_features_written_as_repr(self, tmp_path):
+        X = np.array([[0.1, -2.5e-300], [1e16, -0.0], [5e-324, 123.0]])
+        ds = Dataset(X, [1, -1, -1], [2**62, 7, 7], [1, 0, 0])
+        path = tmp_path / "data.csv"
+        save_text(ds, path)
+        lines = [f"{gid},{label:+d},{int(key)},{a!r},{b!r}" for gid, label,
+                 key, (a, b) in zip(ds.group_ids.tolist(), ds.labels.tolist(),
+                                    ds.is_key.tolist(), ds.X.tolist())]
+        assert path.read_text() == "\n".join(
+            ["group_id,label,is_key,f1,f2", *lines]) + "\n"
+
     def test_missing_key_names_group(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

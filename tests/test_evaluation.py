@@ -25,6 +25,7 @@ from gcm import (
     score_groups,
     split_groups,
     train_per_candidate,
+    write_groups_csv,
     write_report_csv,
 )
 from conftest import build_grouped_dataset
@@ -460,3 +461,17 @@ class TestReportCsv:
         monkeypatch.setattr(gcm.evaluation, "_REPORT_CHUNK_ROWS", 3)
         write_report_csv(report, chunked)
         assert chunked.read_bytes() == whole.read_bytes()
+
+    def test_groups_csv_matches_row_by_row_format(self, tmp_path, rng,
+                                                  monkeypatch):
+        ds = build_grouped_dataset(rng, 4, 6, 2, 5, 3)
+        report = evaluate_model(LinearModel(rng.normal(size=3), 0.3), ds)
+        groups = score_groups(report.scores, ds)
+        lines = ["group_id,label,group_score,argmax_row"] + [
+            f"{gid},{label},{score!r},{row}"
+            for gid, label, score, row in zip(*(a.tolist() for a in groups))]
+        for chunk in (3, 8192):
+            monkeypatch.setattr(gcm.evaluation, "_REPORT_CHUNK_ROWS", chunk)
+            path = tmp_path / f"groups{chunk}.csv"
+            write_groups_csv(groups, path)
+            assert path.read_text() == "\n".join(lines) + "\n"
