@@ -306,10 +306,25 @@ class Dataset:
         return len(self.group_starts) - 1
 
     def subset_groups(self, keep_ids) -> "Dataset":
-        """Return a new dataset with only the given group ids."""
-        keep = np.isin(self.group_ids, np.asarray(list(keep_ids), dtype=np.int64))
-        if not np.any(keep):
+        """Return a new dataset with only the given group ids.
+
+        Raises :class:`ConfigurationError` for an empty selection or one
+        naming an id that is not in the dataset, and
+        :class:`MalformedRecordError` for ids that do not convert to int64
+        without loss (``casting="safe"``, as in the constructor).
+        """
+        ids = np.asarray(keep_ids)
+        if ids.size == 0:
             raise ConfigurationError("subset contains no groups")
+        try:
+            ids = ids.astype(np.int64, casting="safe")
+        except TypeError as exc:
+            raise MalformedRecordError("group ids cannot be converted to int64") from exc
+        absent = ~np.isin(ids, self.group_ids[self.group_starts[:-1]])
+        if absent.any():
+            raise ConfigurationError(
+                f"group id {ids[absent][0]} is not in the dataset")
+        keep = np.isin(self.group_ids, ids)
         return Dataset(self.X[keep], self.labels[keep], self.group_ids[keep],
                        self.is_key[keep])
 

@@ -30,17 +30,28 @@ the float hinge rises by 1 ulp across the ``1 - 2 delta`` piece boundary (it
 never does at ``delta`` 0 or 0.5), so a group whose smallest margin lies
 within a few ulps of that boundary can differ by 1 ulp from the per-row
 maximum of the loss.
+
+Since a grouped value needs only each positive group's key row and each
+negative group's maximal row, a solve over an in-memory ``Dataset`` can
+price most points on a working set: the key rows plus, per negative group,
+the rows that could still be its maximum (:class:`_WorkingSet`). A
+per-group check after each working-set pass proves that the result equals
+the full pass bit for bit; when it cannot, that point gets a full pass,
+which rebuilds the set. A streamed source always gets full passes, so its
+memory stays flat. :attr:`ObjectiveValue.rows` counts the rows each pass
+scored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .model import Dataset, Hyperparams, LinearModel
+from .model import Dataset, GroupBlock, Hyperparams, LinearModel
 from .penalties import huber, huber_prime, smoothed_hinge, smoothed_hinge_prime
 
 
@@ -49,7 +60,8 @@ class ObjectiveValue:
     """Objective total and its three summands.
 
     Values from :func:`eval_grouped` and :func:`eval_per_candidate` also
-    carry the point's (sub)gradient, which equality and ``repr`` ignore.
+    carry the point's (sub)gradient and ``rows``, the number of rows the
+    pass scored; equality and ``repr`` ignore both.
     """
 
     total: float
@@ -58,6 +70,7 @@ class ObjectiveValue:
     negative_loss_term: float
     _gradient: Callable[[], np.ndarray] | None = field(
         default=None, compare=False, repr=False)
+    rows: int = field(default=0, compare=False, repr=False)
 
     def gradient(self) -> np.ndarray:
         """The (sub)gradient at the point this value was evaluated at: one
@@ -220,10 +233,78 @@ def eval_per_candidate(model: LinearModel, data: Dataset,
         return np.append(_regularization_gradient(model, hp) + data.X.T @ coeff,
                          np.sum(coeff))
 
-    return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient)
+    return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient,
+                          data.n_rows)
 
 
-def eval_grouped(model: LinearModel, data, hp: Hyperparams) -> ObjectiveValue:
+class _GroupedSums:
+    """The sums of one grouped pass, fed one block at a time in row order.
+
+    :meth:`add` takes a block's key rows and the maximal row of each of its
+    negative groups, each as the matrix gathered from the block, with their
+    scores. Equal inputs in equal order give bit-identical sums, however
+    many rows were scored to find them.
+    """
+
+    def __init__(self, d: int):
+        self.pos_acc, self.neg_acc = _ChunkedSum(), _ChunkedSum()
+        self.pos_w, self.neg_w = np.zeros(d), np.zeros(d)
+        self.pos_b = self.neg_b = 0.0
+        self.n_pos = self.n_neg = 0
+
+    def add(self, X_key, key_scores, X_max, max_scores, delta: float):
+        margins = np.concatenate([key_scores, -max_scores])
+        losses = smoothed_hinge(margins, delta)
+        lprime = smoothed_hinge_prime(margins, delta)
+        k = key_scores.size
+        self.pos_acc.add(losses[:k])
+        self.neg_acc.add(losses[k:])
+        self.n_pos += k  # one key row per positive group
+        self.n_neg += max_scores.size
+        # an empty gather adds +0.0, which leaves the sums' bits unchanged
+        self.pos_w += X_key.T @ lprime[:k]
+        self.pos_b += float(np.sum(lprime[:k]))
+        self.neg_w += X_max.T @ -lprime[k:]
+        self.neg_b += float(np.sum(-lprime[k:]))
+
+    def value(self, model: LinearModel, hp: Hyperparams, reg: float,
+              rows: int) -> ObjectiveValue:
+        pos, neg = _class_terms(hp.lam, self.pos_acc.total(), self.n_pos,
+                                self.neg_acc.total(), self.n_neg, "group")
+        a, c = hp.lam / self.n_pos, hp.lam / self.n_neg
+
+        def gradient() -> np.ndarray:
+            return np.append(_regularization_gradient(model, hp)
+                             + a * self.pos_w + c * self.neg_w,
+                             a * self.pos_b + c * self.neg_b)
+
+        return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient, rows)
+
+
+def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums,
+               visit=None) -> int:
+    """Score every row of ``data`` into ``sums``; returns the rows scored.
+
+    ``visit(index, block, scores, amax, X_key)``, when given, sees each
+    block after it is summed: its scores, the first maximal row of each
+    negative group and the gathered key rows.
+    """
+    rows = 0
+    for index, block in enumerate(data.iter_group_blocks()):
+        scores = _fixed_order_scores(block.X, model.w, model.b)
+        neg_groups = block.labels[block.starts[:-1]] == -1
+        key_rows = np.flatnonzero(block.is_key)
+        amax = _group_argmax(scores, block.starts)[neg_groups]
+        X_key = block.X[key_rows]
+        sums.add(X_key, scores[key_rows], block.X[amax], scores[amax], delta)
+        rows += scores.size
+        if visit is not None:
+            visit(index, block, scores, amax, X_key)
+    return rows
+
+
+def eval_grouped(model: LinearModel, data, hp: Hyperparams,
+                 _working_set: _WorkingSet | None = None) -> ObjectiveValue:
     """Evaluate the grouped objective and, in the same pass, its subgradient.
 
     ``data`` may be an in-memory :class:`Dataset` or any source of
@@ -231,41 +312,194 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams) -> ObjectiveValue:
     give bit-identical results. Only key rows and each negative group's
     maximal-score row carry subgradient coefficients; a tie resolves to the
     group's first such row, one valid subgradient chosen deterministically.
+
+    ``_working_set`` is the state of one solve over a :class:`Dataset` (see
+    :class:`_WorkingSet`); the value is bit-identical with or without it.
     """
     _check_dims(model, data.d)
     if hp.lam == 0.0:
         return _regularization_only(model, hp)
     reg = _regularization(model, hp)
-    pos_acc, neg_acc = _ChunkedSum(), _ChunkedSum()
-    pos_w = np.zeros(model.d)
-    neg_w = np.zeros(model.d)
-    pos_b = neg_b = 0.0
-    n_pos = n_neg = 0
-    for block in data.iter_group_blocks():
-        scores = _fixed_order_scores(block.X, model.w, model.b)
-        neg_groups = block.labels[block.starts[:-1]] == -1
-        key_rows = np.flatnonzero(block.is_key)
-        amax = _group_argmax(scores, block.starts)[neg_groups]
-        margins = np.concatenate([scores[key_rows], -scores[amax]])
-        losses = smoothed_hinge(margins, hp.delta)
-        lprime = smoothed_hinge_prime(margins, hp.delta)
-        k = key_rows.size
-        pos_acc.add(losses[:k])
-        neg_acc.add(losses[k:])
-        n_neg += amax.size
-        n_pos += neg_groups.size - amax.size
-        # an empty gather adds +0.0, which leaves the sums' bits unchanged
-        pos_w += block.X[key_rows].T @ lprime[:k]
-        pos_b += float(np.sum(lprime[:k]))
-        neg_w += block.X[amax].T @ -lprime[k:]
-        neg_b += float(np.sum(-lprime[k:]))
-    pos, neg = _class_terms(hp.lam, pos_acc.total(), n_pos, neg_acc.total(),
-                            n_neg, "group")
+    if _working_set is not None:
+        return _working_set.price(model, data, hp, reg)
+    sums = _GroupedSums(model.d)
+    rows = _full_pass(model, data, hp.delta, sums)
+    return sums.value(model, hp, reg, rows)
 
-    def gradient() -> np.ndarray:
-        return np.append(_regularization_gradient(model, hp)
-                         + hp.lam / n_pos * pos_w + hp.lam / n_neg * neg_w,
-                         hp.lam / n_pos * pos_b + hp.lam / n_neg * neg_b)
 
-    return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient)
+#: A working set is built only when it holds at most this share of the rows.
+_MAX_SHARE = 0.25
+#: Relative slack on the step length ``t`` of the certificate.
+_STEP_SLACK = 1e-12
+#: Certified only while ``P_g (|z| + |z'| + t)`` stays below this, so no
+#: partial score sum can overflow.
+_SCORE_LIMIT = 2.0 ** 1000
 
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm without overflow or underflow."""
+    return math.hypot(*v.tolist())
+
+
+class _Built(NamedTuple):
+    """A working set: the rows of every block in turn."""
+
+    z: np.ndarray  # the point it was built at
+    z_norm: float
+    X_key: np.ndarray  # Fortran-order copy of every key row
+    X_kept: np.ndarray  # Fortran-order copy of every kept negative row
+    kept_rows: np.ndarray  # each kept row's index in its block
+    kept_starts: np.ndarray  # offsets of each negative group in X_kept
+    thr: np.ndarray  # per negative group: every dropped row scored below it
+    blocks: list  # per block: X, its gathered key rows, key and group slices
+
+
+class _WorkingSet:
+    """Working-set pricing of the grouped objective for one solve over a
+    :class:`Dataset`.
+
+    After a full pass at point ``z``, each negative group ``g`` keeps the
+    rows with score ``s >= thr_g = max(m_g - 2 P_g theta, -1 - P_g theta)``
+    and its first maximal row: ``m_g`` is its maximum score, ``P_g`` the
+    largest norm of ``(x, 1)`` over its rows and ``theta`` the distance
+    from the point priced before. The working set is those rows plus every
+    key row, and it is built only when it holds at most a quarter of the
+    rows.
+
+    At a later point ``z'``, at distance ``t`` from ``z``, no dropped row
+    scores above ``thr_g + P_g t`` (Cauchy-Schwarz); ``eta`` bounds the
+    rounding of both scores. Group ``g`` is certified when its working-set
+    maximum ``M_g`` lies strictly above ``thr_g + P_g (t + eta)``, so the
+    dropped rows can neither reach nor tie it, or when ``M_g`` and that bound
+    are both at most -1, so the group's loss and derivative are exactly zero
+    whichever row is its maximum. Only when every group is certified is the
+    working-set value returned: it is then the full pass's, bit for bit,
+    because each block's key rows and maximal rows are gathered from the
+    block and summed in the full pass's order. Otherwise the point is priced
+    by a full pass, which rebuilds the set.
+    """
+
+    def __init__(self):
+        self._last: np.ndarray | None = None  # the point priced before
+        # P_g per block, then over all blocks and its maximum: once a solve
+        self._reach: list[np.ndarray] | None = None
+        self._reach_all: np.ndarray | None = None
+        self._reach_max = 0.0
+        self._built: _Built | None = None
+
+    def price(self, model: LinearModel, data: Dataset, hp: Hyperparams,
+              reg: float) -> ObjectiveValue:
+        z = np.append(model.w, model.b)
+        theta = None if self._last is None else _norm(z - self._last)
+        self._last = z
+        rows = 0
+        if self._built is not None:
+            sums = _GroupedSums(model.d)
+            certified, rows = self._certified_pass(model, z, hp.delta, sums)
+            if certified:
+                return sums.value(model, hp, reg, rows)
+            self._built = None
+        sums = _GroupedSums(model.d)
+        rows += self._rebuilding_pass(model, data, hp.delta, sums, z, theta)
+        return sums.value(model, hp, reg, rows)
+
+    def _certified_pass(self, model, z, delta, sums) -> tuple[bool, int]:
+        """Price the working set into ``sums``; (certified, rows scored)."""
+        built = self._built
+        t = _norm(z - built.z) * (1.0 + _STEP_SLACK)
+        scale = built.z_norm + _norm(z) + t
+        if not self._reach_max * scale < _SCORE_LIMIT:
+            return False, 0
+        d = model.d
+        # the second term covers products that underflow to subnormals
+        eta = (8.0 * (d + 2) * np.finfo(np.float64).eps * scale
+               + (d + 2) * 2.0 ** -1070)
+        key_scores = _fixed_order_scores(built.X_key, model.w, model.b)
+        scores = _fixed_order_scores(built.X_kept, model.w, model.b)
+        rows = key_scores.size + scores.size
+        local = _group_argmax(scores, built.kept_starts)
+        top = scores[local]
+        bound = built.thr + self._reach_all * (t + eta)
+        if not np.all((top > bound) | ((top <= -1.0) & (bound <= -1.0))):
+            return False, rows
+        amax = built.kept_rows[local]
+        for X, X_key, keys, groups in built.blocks:
+            sums.add(X_key, key_scores[keys], X[amax[groups]], top[groups],
+                     delta)
+        return True, rows
+
+    def _rebuilding_pass(self, model, data, delta, sums, z, theta) -> int:
+        """A full pass that also builds a working set at ``z``, if it fits.
+
+        No set is built at the solve's first point, where ``theta`` is None,
+        nor where one row per negative group would already exceed the cap.
+        """
+        cap = _MAX_SHARE * data.n_rows - data.n_pos_groups
+        if theta is None or data.n_neg_groups > cap:
+            return _full_pass(model, data, delta, sums)
+        if self._reach is None:
+            self._reach = [_group_reach(b) for b in data.iter_group_blocks()]
+            self._reach_all = np.concatenate(self._reach)
+            self._reach_max = float(np.max(self._reach_all, initial=0.0))
+        seen = []
+        kept = 0
+
+        def visit(index, block, scores, amax, X_key):
+            nonlocal kept
+            if kept > cap:
+                return
+            reach = self._reach[index]
+            thr = np.maximum(scores[amax] - 2.0 * reach * theta,
+                             -1.0 - reach * theta)
+            neg_groups = block.labels[block.starts[:-1]] == -1
+            group_thr = np.full(neg_groups.size, np.inf)
+            group_thr[neg_groups] = thr
+            keep = scores >= np.repeat(group_thr, np.diff(block.starts))
+            keep[amax] = True
+            kept += int(np.count_nonzero(keep))
+            seen.append((block, keep, neg_groups, thr, X_key))
+
+        rows = _full_pass(model, data, delta, sums, visit)
+        if 0 < kept <= cap:  # 0: no negative group, nothing to screen
+            self._built = _build(seen, z)
+        return rows
+
+
+def _group_reach(block: GroupBlock) -> np.ndarray:
+    """The largest norm of ``(x, 1)`` over each negative group's rows."""
+    sq = np.ones(block.X.shape[0])
+    for j in range(block.X.shape[1]):
+        sq += block.X[:, j] * block.X[:, j]
+    neg_groups = block.labels[block.starts[:-1]] == -1
+    return np.sqrt(np.maximum.reduceat(sq, block.starts[:-1])[neg_groups])
+
+
+def _build(seen, z: np.ndarray) -> _Built:
+    """Gather the rows each block of a full pass kept, with its key rows.
+
+    ``seen`` holds, per block, the block, its row mask of kept rows, its
+    negative-group mask, its thresholds and its gathered key rows.
+    """
+    kept_rows, counts, blocks = [], [], []
+    k0 = g0 = 0
+    for block, keep, neg_groups, thr, X_key in seen:
+        kept_rows.append(np.flatnonzero(keep))
+        counts.append(np.add.reduceat(keep, block.starts[:-1],
+                                      dtype=np.int64)[neg_groups])
+        k1, g1 = k0 + X_key.shape[0], g0 + thr.size
+        blocks.append((block.X, X_key, slice(k0, k1), slice(g0, g1)))
+        k0, g0 = k1, g1
+    X_kept = np.empty((sum(r.size for r in kept_rows), z.size - 1), order="F")
+    lo = 0
+    for (block, *_), rows in zip(seen, kept_rows):
+        for j in range(X_kept.shape[1]):
+            np.take(block.X[:, j], rows, out=X_kept[lo:lo + rows.size, j])
+        lo += rows.size
+    return _Built(
+        z=z, z_norm=_norm(z),
+        X_key=np.asfortranarray(np.concatenate([e[4] for e in seen])),
+        X_kept=X_kept,
+        kept_rows=np.concatenate(kept_rows),
+        kept_starts=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+        thr=np.concatenate([e[3] for e in seen]),
+        blocks=blocks)

@@ -59,12 +59,17 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """What happened during a solve; ``objective_history`` is non-increasing."""
+    """What happened during a solve; ``objective_history`` is non-increasing.
+
+    ``rows_priced`` sums the ``rows`` of every objective value of the solve:
+    the data rows its passes scored.
+    """
 
     iterations: int
     objective_history: list[float]
     final_grad_inf_norm: float
     termination_reason: Termination
+    rows_priced: int = 0
 
 
 def _direction(grad, memory):
@@ -96,7 +101,8 @@ def minimize(objective, start, cfg: SolverConfig | None = None):
         the objective (a float) and ``.gradient()`` the gradient at ``x``,
         a vector shaped like ``x``. The gradient may be a subgradient for
         non-smooth objectives, in which case a failed line search is a
-        benign terminal state near the optimum.
+        benign terminal state near the optimum. A ``.rows`` attribute, when
+        present, is summed into ``SolveTrace.rows_priced``.
     start:
         Initial point; the objective must be finite there.
 
@@ -108,6 +114,7 @@ def minimize(objective, start, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     x = np.array(start, dtype=np.float64).ravel()
     value = objective(x)
+    rows_priced = getattr(value, "rows", 0)
     f = value.total
     if not np.isfinite(f):
         raise NumericalError(f"objective is not finite at the start point: {f}")
@@ -139,6 +146,7 @@ def minimize(objective, start, cfg: SolverConfig | None = None):
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * p
             value = objective(x_new)
+            rows_priced += getattr(value, "rows", 0)
             f_new = value.total
             if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * gtp:
                 accepted = True
@@ -168,5 +176,6 @@ def minimize(objective, start, cfg: SolverConfig | None = None):
         objective_history=history,
         final_grad_inf_norm=float(np.max(np.abs(g))) if g.size else 0.0,
         termination_reason=reason,
+        rows_priced=rows_priced,
     )
     return x, trace

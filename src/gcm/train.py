@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .model import Dataset, Hyperparams, LinearModel
-from .objectives import eval_grouped, eval_per_candidate
+from .objectives import _WorkingSet, eval_grouped, eval_per_candidate
 from .solver import SolverConfig, SolveTrace, minimize
 
 
@@ -47,18 +47,28 @@ def train_per_candidate(data: Dataset, hp: Hyperparams,
 def train_gcm(data: Dataset, hp: Hyperparams,
               cfg: SolverConfig | None = None
               ) -> tuple[LinearModel, SolveTrace]:
-    """Minimize the grouped objective (key positives, max-loss negatives)."""
-    return _train(eval_grouped, data, hp, cfg, None)
+    """Minimize the grouped objective (key positives, max-loss negatives).
+
+    Over an in-memory :class:`Dataset` the solve prices points on a working
+    set whenever it can prove the result equal to a full pass (see
+    :class:`~gcm.objectives._WorkingSet`); a streamed source is read whole
+    at every point. Either way the model and trace are the same, bit for
+    bit, except ``rows_priced``.
+    """
+    return _train(eval_grouped, data, hp, cfg, None,
+                  screened=isinstance(data, Dataset))
 
 
 def _train(objective, data: Dataset, hp: Hyperparams,
-           cfg: SolverConfig | None, start: LinearModel | None
-           ) -> tuple[LinearModel, SolveTrace]:
+           cfg: SolverConfig | None, start: LinearModel | None,
+           screened: bool = False) -> tuple[LinearModel, SolveTrace]:
     """Minimize ``objective(model, data, hp)`` from ``start`` or zero.
 
     The caller passes the objective it looked up at call time, so a patched
-    module attribute is the one that runs.
+    module attribute is the one that runs. ``screened`` gives each call a
+    working set that lives for this solve only.
     """
+    state = {"_working_set": _WorkingSet()} if screened else {}
     if hp.lam == 1.0:
         warnings.warn(
             "lam=1 disables regularization; on separable data the infimum may "
@@ -66,7 +76,7 @@ def _train(objective, data: Dataset, hp: Hyperparams,
             stacklevel=3,
         )
     point, trace = minimize(
-        lambda p: objective(_unpack(p), data, hp),
+        lambda p: objective(_unpack(p), data, hp, **state),
         np.zeros(data.d + 1) if start is None
         else np.concatenate([start.w, [start.b]]),
         cfg,

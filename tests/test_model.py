@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gcm import (
+    ConfigurationError,
     Dataset,
     DomainError,
     Hyperparams,
@@ -154,6 +155,21 @@ class TestDatasetStructure:
         sub = ds.subset_groups(keep)
         assert sorted(set(sub.group_ids.tolist())) == keep
         assert sub.n_groups == 2
+
+    def test_subset_groups_rejects_fractional_ids(self, rng):
+        ds = build_grouped_dataset(rng, 3, 3, 2, 4, 2)
+        with pytest.raises(MalformedRecordError):
+            ds.subset_groups([0.7, 1.2])  # not truncated to [0, 1]
+
+    def test_subset_groups_names_the_first_absent_id(self, rng):
+        ds = build_grouped_dataset(rng, 3, 3, 2, 4, 2)
+        with pytest.raises(ConfigurationError, match="group id 9 "):
+            ds.subset_groups([0, 9, 12])
+
+    def test_subset_groups_rejects_an_empty_selection(self, rng):
+        ds = build_grouped_dataset(rng, 3, 3, 2, 4, 2)
+        with pytest.raises(ConfigurationError, match="no groups"):
+            ds.subset_groups([])
 
 
 class TestGroupBlocks:

@@ -344,11 +344,12 @@ class TestObjectiveConvexity:
 
 class TestObjectiveValue:
     def test_four_float_constructor_and_equality_ignore_the_gradient(self, rng):
+        # ... and ignore the rows scored
         bare = ObjectiveValue(1.0, 0.25, 0.5, 0.25)
-        assert bare == ObjectiveValue(1.0, 0.25, 0.5, 0.25)
-        assert repr(bare) == ("ObjectiveValue(total=1.0, regularization_term="
-                              "0.25, positive_loss_term=0.5, "
-                              "negative_loss_term=0.25)")
+        assert bare == ObjectiveValue(1.0, 0.25, 0.5, 0.25, rows=7)
+        assert repr(ObjectiveValue(1.0, 0.25, 0.5, 0.25, rows=7)) == (
+            "ObjectiveValue(total=1.0, regularization_term=0.25, "
+            "positive_loss_term=0.5, negative_loss_term=0.25)")
         with pytest.raises(ValueError, match="without a gradient"):
             bare.gradient()
         ds = build_grouped_dataset(rng, 3, 4, 2, 4, 2)
@@ -360,3 +361,4 @@ class TestObjectiveValue:
                 value.total, value.regularization_term,
                 value.positive_loss_term, value.negative_loss_term)
             assert value.gradient().shape == (3,)
+            assert value.rows == ds.n_rows  # a full pass scores every row
