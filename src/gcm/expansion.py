@@ -65,7 +65,7 @@ def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
     """Apply the lift to a raw feature matrix.
 
     The output is column-major: each monomial is written as one contiguous
-    column, and :class:`Dataset` copies it without a transpose. A monomial
+    column, the layout :class:`Dataset` stores. A monomial
     that overflows comes out as ±inf without a warning; :class:`Dataset`
     rejects it at its group.
     """
@@ -102,9 +102,16 @@ class AffineScaler:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "AffineScaler":
-        """Column means and standard deviations of the matrix ``X``."""
+        """Column means and standard deviations of the matrix ``X``.
+
+        One column at a time, so the deviations never fill a second matrix;
+        on a Fortran-order ``X`` the values are bit-identical to
+        ``X.mean(axis=0)`` and ``X.std(axis=0)``.
+        """
+        shift, scale = np.empty(X.shape[1]), np.empty(X.shape[1])
         with np.errstate(over="ignore"):  # reported just below
-            shift, scale = X.mean(axis=0), X.std(axis=0)
+            for j in range(X.shape[1]):
+                shift[j], scale[j] = X[:, j].mean(), X[:, j].std()
         bad = np.flatnonzero(~(np.isfinite(shift) & np.isfinite(scale)))
         if bad.size:
             raise NumericalError(f"feature {bad[0] + 1}'s mean or standard "
@@ -161,5 +168,5 @@ class FeaturePipeline:
             X = np.subtract(X, pipeline.scaler.shift,
                             out=None if X is data.X else X)
             X /= pipeline.scaler.scale
-        return pipeline, (data if X is data.X else
-                          Dataset(X, data.labels, data.group_ids, data.is_key))
+        # a new matrix is the pipeline's own and column-major: adopted, not copied
+        return pipeline, (data if X is data.X else Dataset._adopt(X, data))

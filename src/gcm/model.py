@@ -238,6 +238,10 @@ class Dataset:
     ``int8`` and ``bool``.
     """
 
+    #: What :mod:`gcm.objectives` derives from the rows for pricing, filled
+    #: at its first use and kept for the dataset's lifetime.
+    _pricing_stats = None
+
     def __init__(self, features, labels, group_ids, is_key):
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
@@ -276,18 +280,40 @@ class Dataset:
         starts = group_starts(group_ids)
         validate_groups(labels, is_key, group_ids, starts)
 
-        self.X = _column_major_copy(X, group_ids, order=order)
-        self.labels = labels.astype(np.int8)
+        self._store(_column_major_copy(X, group_ids, order=order),
+                    labels.astype(np.int8), group_ids,
+                    is_key.astype(bool, copy=False), starts)
+
+    @classmethod
+    def _adopt(cls, X: np.ndarray, rows: "Dataset") -> "Dataset":
+        """The rows of ``rows`` with new features ``X``, kept without a copy.
+
+        ``X`` is a Fortran-order float64 matrix, one row per row of
+        ``rows``, that the caller owns and hands over. Labels, group ids,
+        key flags and group offsets are those of ``rows``, already checked,
+        so only the features go through :func:`_reject_nonfinite`, which
+        raises at the same group as the constructor's copy would.
+        """
+        _reject_nonfinite(X, rows.group_ids)
+        data = cls.__new__(cls)
+        data._store(X, rows.labels, rows.group_ids, rows.is_key,
+                    rows.group_starts)
+        return data
+
+    def _store(self, X, labels, group_ids, is_key, starts):
+        """Keep the checked, group-sorted arrays, read-only."""
+        self.X = X
+        self.labels = labels
         self.group_ids = group_ids
-        self.is_key = is_key.astype(bool, copy=False)
+        self.is_key = is_key
         self.group_starts = starts
-        self.group_labels = self.labels[starts[:-1]]
+        self.group_labels = labels[starts[:-1]]
         for arr in (self.X, self.labels, self.group_ids, self.is_key,
                     self.group_labels):
             arr.flags.writeable = False
         # counted once: the arrays are read-only and the trainers ask often
-        self.n_pos_rows = int(np.count_nonzero(self.labels == 1))
-        self.n_neg_rows = n - self.n_pos_rows
+        self.n_pos_rows = int(np.count_nonzero(labels == 1))
+        self.n_neg_rows = X.shape[0] - self.n_pos_rows
         self.n_pos_groups = int(np.count_nonzero(self.group_labels == 1))
         self.n_neg_groups = len(self.group_labels) - self.n_pos_groups
 

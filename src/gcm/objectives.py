@@ -37,9 +37,14 @@ price most points on a working set: the key rows plus, per negative group,
 the rows that could still be its maximum (:class:`_WorkingSet`). A
 per-group check after each working-set pass proves that the result equals
 the full pass bit for bit; when it cannot, that point gets a full pass,
-which rebuilds the set. A streamed source always gets full passes, so its
-memory stays flat. :attr:`ObjectiveValue.rows` counts the rows each pass
-scored.
+which rebuilds the set. Two kinds of point score no row at all: the zero
+point, where every group's first row is its maximum, and a power-of-two
+multiple ``2^-k z1`` of the latest full pass's point ``z1``, whose scores
+are exactly the recorded ones times ``2^-k`` while a guard on the
+exponents keeps every intermediate in the normal range. So a solve from
+zero pays one full pass for its first line search, not one per backtrack.
+A streamed source always gets full passes, so its memory stays flat.
+:attr:`ObjectiveValue.rows` counts the rows each pass scored.
 """
 
 from __future__ import annotations
@@ -281,13 +286,22 @@ class _GroupedSums:
         return ObjectiveValue(reg + pos + neg, reg, pos, neg, gradient, rows)
 
 
+class _Gathered(NamedTuple):
+    """What a block adds to a grouped pass (:meth:`_GroupedSums.add`)."""
+
+    X_key: np.ndarray  # the key rows, gathered from the block
+    key_scores: np.ndarray
+    X_max: np.ndarray  # each negative group's first maximal row, gathered
+    max_scores: np.ndarray
+
+
 def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums,
                visit=None) -> int:
     """Score every row of ``data`` into ``sums``; returns the rows scored.
 
-    ``visit(index, block, scores, amax, X_key)``, when given, sees each
+    ``visit(index, block, scores, amax, gathered)``, when given, sees each
     block after it is summed: its scores, the first maximal row of each
-    negative group and the gathered key rows.
+    negative group and the :class:`_Gathered` rows it added.
     """
     rows = 0
     for index, block in enumerate(data.iter_group_blocks()):
@@ -295,11 +309,12 @@ def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums,
         neg_groups = block.labels[block.starts[:-1]] == -1
         key_rows = np.flatnonzero(block.is_key)
         amax = _group_argmax(scores, block.starts)[neg_groups]
-        X_key = block.X[key_rows]
-        sums.add(X_key, scores[key_rows], block.X[amax], scores[amax], delta)
+        gathered = _Gathered(block.X[key_rows], scores[key_rows],
+                             block.X[amax], scores[amax])
+        sums.add(*gathered, delta)
         rows += scores.size
         if visit is not None:
-            visit(index, block, scores, amax, X_key)
+            visit(index, block, scores, amax, gathered)
     return rows
 
 
@@ -354,37 +369,102 @@ class _Built(NamedTuple):
     blocks: list  # per block: X, its gathered key rows, key and group slices
 
 
+class _Stats(NamedTuple):
+    """What pricing derives from a :class:`Dataset`'s rows, in one pass."""
+
+    reach: list  # per block, P_g of each negative group: max norm of (x, 1)
+    reach_all: np.ndarray  # P_g over all blocks
+    reach_max: float
+    col_min: np.ndarray  # per column, its smallest nonzero |x| (inf if none)
+
+
+def _stats(data: Dataset) -> _Stats:
+    """``data``'s :class:`_Stats`, computed at the first call and kept on it."""
+    if data._pricing_stats is None:
+        col_min = np.full(data.d, np.inf)
+        reach = []
+        for block in data.iter_group_blocks():
+            sq = np.ones(block.X.shape[0])
+            for j in range(data.d):
+                x = block.X[:, j]
+                sq += x * x
+                ax = np.abs(x)
+                m = ax.min()  # a zero entry is rare: only then mask it out
+                if m == 0.0:
+                    m = np.min(ax, where=ax > 0.0, initial=np.inf)
+                col_min[j] = min(col_min[j], m)
+            neg_groups = block.labels[block.starts[:-1]] == -1
+            reach.append(np.sqrt(
+                np.maximum.reduceat(sq, block.starts[:-1])[neg_groups]))
+        reach_all = np.concatenate(reach)
+        data._pricing_stats = _Stats(reach, reach_all,
+                                     float(np.max(reach_all, initial=0.0)),
+                                     col_min)
+    return data._pricing_stats
+
+
+def _ulp_exponent(v: np.ndarray) -> np.ndarray:
+    """For nonzero finite ``v``: each entry, and every float at least as
+    large in magnitude, is a multiple of 2 to this power."""
+    return np.frexp(v)[1] - 53
+
+
+class _Record(NamedTuple):
+    """A full pass at ``z``: each block's :class:`_Gathered` rows."""
+
+    z: np.ndarray
+    blocks: list
+
+
 class _WorkingSet:
-    """Working-set pricing of the grouped objective for one solve over a
-    :class:`Dataset`.
+    """Pricing of the grouped objective for one solve over a
+    :class:`Dataset`, bit-identical to a full pass but scoring fewer rows.
 
-    After a full pass at point ``z``, each negative group ``g`` keeps the
-    rows with score ``s >= thr_g = max(m_g - 2 P_g theta, -1 - P_g theta)``
-    and its first maximal row: ``m_g`` is its maximum score, ``P_g`` the
-    largest norm of ``(x, 1)`` over its rows and ``theta`` the distance
-    from the point priced before. The working set is those rows plus every
-    key row, and it is built only when it holds at most a quarter of the
-    rows.
+    Three kinds of point need no full pass:
 
-    At a later point ``z'``, at distance ``t`` from ``z``, no dropped row
-    scores above ``thr_g + P_g t`` (Cauchy-Schwarz); ``eta`` bounds the
-    rounding of both scores. Group ``g`` is certified when its working-set
-    maximum ``M_g`` lies strictly above ``thr_g + P_g (t + eta)``, so the
-    dropped rows can neither reach nor tie it, or when ``M_g`` and that bound
-    are both at most -1, so the group's loss and derivative are exactly zero
-    whichever row is its maximum. Only when every group is certified is the
-    working-set value returned: it is then the full pass's, bit for bit,
-    because each block's key rows and maximal rows are gathered from the
-    block and summed in the full pass's order. Otherwise the point is priced
-    by a full pass, which rebuilds the set.
+    * **A zero point**, every entry of ``(w, b)`` ±0. Every score is ±0,
+      so each negative group's first row is its maximum: the value needs
+      only the key rows and those first rows, and scores no row.
+    * **A power-of-two multiple** ``z = 2^-k z1`` (``k >= 0``) of the point
+      ``z1`` of the latest full pass whose scores were all finite. That pass
+      recorded each block's key rows, maximal rows and their scores. Every
+      product and partial sum of :func:`_fixed_order_scores` at ``z1`` is a
+      multiple of ``2^q``, where ``q`` is the least of the ulp exponent of
+      ``b1`` and, over the features with ``w1_j != 0``, the sum of the ulp
+      exponents of ``w1_j`` and of column ``j``'s smallest nonzero ``|x|``.
+      When ``q - k >= -1022`` no nonzero intermediate at ``z`` is
+      subnormal, so each rounds exactly as at ``z1`` scaled by ``2^-k``:
+      every score at ``z`` is ``2^-k`` times its score at ``z1``, the
+      maximal rows are the same, and the recorded scores are scaled. No row
+      is scored. The solver's first line search from zero tries exactly
+      such points.
+    * **A point certified on the working set**. After a full pass at point
+      ``z``, each negative group ``g`` keeps the rows with score
+      ``s >= thr_g = max(m_g - 2 P_g theta, -1 - P_g theta)`` and its first
+      maximal row: ``m_g`` is its maximum score, ``P_g`` the largest norm of
+      ``(x, 1)`` over its rows and ``theta`` the distance from the point
+      priced before. The working set is those rows plus every key row, and
+      it is built only when it holds at most a quarter of the rows.
+
+      At a later point ``z'``, at distance ``t`` from ``z``, no dropped row
+      scores above ``thr_g + P_g t`` (Cauchy-Schwarz); ``eta`` bounds the
+      rounding of both scores. Group ``g`` is certified when its working-set
+      maximum ``M_g`` lies strictly above ``thr_g + P_g (t + eta)``, so the
+      dropped rows can neither reach nor tie it, or when ``M_g`` and that
+      bound are both at most -1, so the group's loss and derivative are
+      exactly zero whichever row is its maximum. Only when every group is
+      certified is the working-set value returned.
+
+    Each value is the full pass's, bit for bit, because each block's key
+    rows and maximal rows are gathered from the block and summed in the
+    full pass's order. Any other point is priced by a full pass, which
+    records it and rebuilds the set. ``P_g`` and the column minima come
+    from one pass over the rows per :class:`Dataset` (:func:`_stats`).
     """
 
     def __init__(self):
         self._last: np.ndarray | None = None  # the point priced before
-        # P_g per block, then over all blocks and its maximum: once a solve
-        self._reach: list[np.ndarray] | None = None
-        self._reach_all: np.ndarray | None = None
-        self._reach_max = 0.0
+        self._record: _Record | None = None
         self._built: _Built | None = None
 
     def price(self, model: LinearModel, data: Dataset, hp: Hyperparams,
@@ -392,23 +472,55 @@ class _WorkingSet:
         z = np.append(model.w, model.b)
         theta = None if self._last is None else _norm(z - self._last)
         self._last = z
+        sums = _GroupedSums(model.d)
+        if not z.any():
+            _zero_pass(model, data, hp.delta, sums)
+            return sums.value(model, hp, reg, 0)
+        k = self._scale(z, data)
+        if k is not None:
+            for X_key, key_scores, X_max, max_scores in self._record.blocks:
+                sums.add(X_key, np.ldexp(key_scores, -k),
+                         X_max, np.ldexp(max_scores, -k), hp.delta)
+            return sums.value(model, hp, reg, 0)
         rows = 0
         if self._built is not None:
-            sums = _GroupedSums(model.d)
-            certified, rows = self._certified_pass(model, z, hp.delta, sums)
+            certified, rows = self._certified_pass(model, data, z, hp.delta,
+                                                   sums)
             if certified:
                 return sums.value(model, hp, reg, rows)
             self._built = None
-        sums = _GroupedSums(model.d)
         rows += self._rebuilding_pass(model, data, hp.delta, sums, z, theta)
         return sums.value(model, hp, reg, rows)
 
-    def _certified_pass(self, model, z, delta, sums) -> tuple[bool, int]:
+    def _scale(self, z: np.ndarray, data: Dataset) -> int | None:
+        """``k`` when ``z = 2^-k z1`` for the recorded point ``z1`` and every
+        score at ``z`` is exactly ``2^-k`` times its score at ``z1``."""
+        if self._record is None:
+            return None
+        z1 = self._record.z
+        i = int(np.argmax(np.abs(z1)))
+        if z[i] == 0.0:
+            return None
+        k = int(np.frexp(z1[i])[1] - np.frexp(z[i])[1])
+        if not (k >= 0 and np.array_equal(np.ldexp(z, k), z1)
+                and np.array_equal(np.ldexp(z1, -k), z)
+                and np.array_equal(np.signbit(z), np.signbit(z1))):
+            return None
+        w1, b1 = z1[:-1], z1[-1]
+        col_min = _stats(data).col_min
+        terms = (w1 != 0.0) & np.isfinite(col_min)
+        q = _ulp_exponent(w1[terms]) + _ulp_exponent(col_min[terms])
+        if b1 != 0.0:
+            q = np.append(q, _ulp_exponent(b1))
+        return k if np.all(q - k >= -1022) else None
+
+    def _certified_pass(self, model, data, z, delta,
+                        sums) -> tuple[bool, int]:
         """Price the working set into ``sums``; (certified, rows scored)."""
-        built = self._built
+        built, stats = self._built, _stats(data)
         t = _norm(z - built.z) * (1.0 + _STEP_SLACK)
         scale = built.z_norm + _norm(z) + t
-        if not self._reach_max * scale < _SCORE_LIMIT:
+        if not stats.reach_max * scale < _SCORE_LIMIT:
             return False, 0
         d = model.d
         # the second term covers products that underflow to subnormals
@@ -419,7 +531,7 @@ class _WorkingSet:
         rows = key_scores.size + scores.size
         local = _group_argmax(scores, built.kept_starts)
         top = scores[local]
-        bound = built.thr + self._reach_all * (t + eta)
+        bound = built.thr + stats.reach_all * (t + eta)
         if not np.all((top > bound) | ((top <= -1.0) & (bound <= -1.0))):
             return False, rows
         amax = built.kept_rows[local]
@@ -429,49 +541,56 @@ class _WorkingSet:
         return True, rows
 
     def _rebuilding_pass(self, model, data, delta, sums, z, theta) -> int:
-        """A full pass that also builds a working set at ``z``, if it fits.
+        """A full pass that records its rows at ``z`` and builds a working
+        set there, if it fits.
 
-        No set is built at the solve's first point, where ``theta`` is None,
-        nor where one row per negative group would already exceed the cap.
+        No set is built at the solve's first point, where ``theta`` is
+        None, nor where one row per negative group would already exceed the
+        cap. Only a pass whose scores are all finite is recorded.
         """
         cap = _MAX_SHARE * data.n_rows - data.n_pos_groups
-        if theta is None or data.n_neg_groups > cap:
-            return _full_pass(model, data, delta, sums)
-        if self._reach is None:
-            self._reach = [_group_reach(b) for b in data.iter_group_blocks()]
-            self._reach_all = np.concatenate(self._reach)
-            self._reach_max = float(np.max(self._reach_all, initial=0.0))
-        seen = []
+        build = theta is not None and data.n_neg_groups <= cap
+        reach = _stats(data).reach if build else None
+        record, seen = [], []
         kept = 0
 
-        def visit(index, block, scores, amax, X_key):
-            nonlocal kept
-            if kept > cap:
+        def visit(index, block, scores, amax, gathered):
+            nonlocal record, kept
+            if record is not None and not np.isfinite(scores).all():
+                record = None  # scaling such a pass is not proven exact
+            elif record is not None:
+                record.append(gathered)
+            if not build or kept > cap:
                 return
-            reach = self._reach[index]
-            thr = np.maximum(scores[amax] - 2.0 * reach * theta,
-                             -1.0 - reach * theta)
+            p = reach[index]
+            thr = np.maximum(scores[amax] - 2.0 * p * theta, -1.0 - p * theta)
             neg_groups = block.labels[block.starts[:-1]] == -1
             group_thr = np.full(neg_groups.size, np.inf)
             group_thr[neg_groups] = thr
             keep = scores >= np.repeat(group_thr, np.diff(block.starts))
             keep[amax] = True
             kept += int(np.count_nonzero(keep))
-            seen.append((block, keep, neg_groups, thr, X_key))
+            seen.append((block, keep, neg_groups, thr, gathered.X_key))
 
+        self._record = None  # one record at a time
         rows = _full_pass(model, data, delta, sums, visit)
-        if 0 < kept <= cap:  # 0: no negative group, nothing to screen
+        if record is not None:
+            self._record = _Record(z, record)
+        if build and 0 < kept <= cap:  # 0: no negative group, nothing to screen
             self._built = _build(seen, z)
         return rows
 
 
-def _group_reach(block: GroupBlock) -> np.ndarray:
-    """The largest norm of ``(x, 1)`` over each negative group's rows."""
-    sq = np.ones(block.X.shape[0])
-    for j in range(block.X.shape[1]):
-        sq += block.X[:, j] * block.X[:, j]
-    neg_groups = block.labels[block.starts[:-1]] == -1
-    return np.sqrt(np.maximum.reduceat(sq, block.starts[:-1])[neg_groups])
+def _zero_pass(model: LinearModel, data: Dataset, delta: float,
+               sums: _GroupedSums):
+    """Sum a pass at a zero point into ``sums``: every score is ±0, so each
+    negative group's first row is its first maximal row."""
+    for block in data.iter_group_blocks():
+        key_rows = np.flatnonzero(block.is_key)
+        firsts = block.starts[:-1][block.labels[block.starts[:-1]] == -1]
+        X_key, X_max = block.X[key_rows], block.X[firsts]
+        sums.add(X_key, _fixed_order_scores(X_key, model.w, model.b),
+                 X_max, _fixed_order_scores(X_max, model.w, model.b), delta)
 
 
 def _build(seen, z: np.ndarray) -> _Built:

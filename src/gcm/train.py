@@ -50,10 +50,12 @@ def train_gcm(data: Dataset, hp: Hyperparams,
     """Minimize the grouped objective (key positives, max-loss negatives).
 
     Over an in-memory :class:`Dataset` the solve prices points on a working
-    set whenever it can prove the result equal to a full pass (see
-    :class:`~gcm.objectives._WorkingSet`); a streamed source is read whole
-    at every point. Either way the model and trace are the same, bit for
-    bit, except ``rows_priced``.
+    set whenever it can prove the result equal to a full pass, and prices
+    the zero start and the backtracks of its first line search, which are
+    power-of-two multiples of the first step, from gathered rows without
+    scoring any (see :class:`~gcm.objectives._WorkingSet`). A streamed
+    source is read whole at every point. Either way the model and trace are
+    the same, bit for bit, except ``rows_priced``.
     """
     return _train(eval_grouped, data, hp, cfg, None,
                   screened=isinstance(data, Dataset))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,37 @@ class TestFeaturePipeline:
         assert np.array_equal(fitted.X, X)
         assert np.array_equal(pipeline.apply(ds).X, X)
         assert pipeline.output_d == X.shape[1]
+        # an adopted matrix makes the same dataset as the constructor's copy
+        want = Dataset(X, ds.labels, ds.group_ids, ds.is_key)
+        for name in ("X", "labels", "group_ids", "is_key", "group_starts",
+                     "group_labels"):
+            got, ref = getattr(fitted, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert got.flags.writeable == ref.flags.writeable
+        assert fitted.X.flags.f_contiguous
+        assert ((fitted.n_pos_rows, fitted.n_neg_rows, fitted.n_pos_groups,
+                 fitted.n_neg_groups) == (want.n_pos_rows, want.n_neg_rows,
+                                          want.n_pos_groups,
+                                          want.n_neg_groups))
+
+    def test_lifted_matrix_is_kept_not_copied(self, rng):
+        ds = build_grouped_dataset(rng, 40, 160, 20, 40, 13)
+        tracemalloc.start()
+        try:
+            _, out = FeaturePipeline.fit(ds, ExpansionSpec(degree=2), True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.d == 104
+        assert peak < 1.5 * out.X.nbytes  # a second copy would make it 2x
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_scaled_value_is_rejected_at_its_group(self):
+        ds = Dataset([[1.0], [1e10], [2.0]], [1, -1, -1], [0, 4, 5],
+                     [True, False, False])
+        pipeline = FeaturePipeline(1, scaler=AffineScaler([0.0], [1e-300]))
+        with pytest.raises(MalformedRecordError, match=r"group 4\b"):
+            pipeline.apply(ds)
 
     def test_bad_input_width_rejected(self):
         with pytest.raises(DomainError):
