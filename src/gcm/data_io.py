@@ -89,43 +89,43 @@ def save_text(data: Dataset, path):
 
 
 def load_text(path) -> Dataset:
-    """Parse the CSV text format; rows are sorted by group id on ingest."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if cols[:3] != ["group_id", "label", "is_key"] or len(cols) < 4:
-            raise MalformedRecordError(
-                "header must be group_id,label,is_key,f1..fd", "line 1"
-            )
-        d = len(cols) - 3
-        group_ids, labels, is_key, rows = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + d:
-                raise MalformedRecordError(
-                    f"expected {3 + d} fields, got {len(parts)}", f"line {lineno}"
-                )
-            try:
-                gid = int(parts[0])
-                label = int(parts[1])
-                key = int(parts[2])
-                feats = [float(v) for v in parts[3:]]
-            except ValueError as exc:
-                raise MalformedRecordError(str(exc), f"line {lineno}") from exc
-            if not (0 <= gid < 2**63 and label in (1, -1) and key in (0, 1)):
-                raise MalformedRecordError(
-                    "need 0 <= group_id < 2**63, label +1 or -1 and is_key "
-                    f"0 or 1, got {','.join(parts[:3])}", f"line {lineno}")
-            group_ids.append(gid)
-            labels.append(label)
-            is_key.append(bool(key))
-            rows.append(feats)
+    """Parse the CSV text format, in UTF-8, all rows at once and one at a
+    time only to name a bad line; rows are sorted by group id on ingest."""
+    with open(path, "rb") as fh:  # lines end at \n, \r or \r\n
+        lines = fh.read().splitlines() or [b""]
+    cols = lines[0].strip().split(b",")
+    if cols[:3] != [b"group_id", b"label", b"is_key"] or len(cols) < 4:
+        raise MalformedRecordError(
+            "header must be group_id,label,is_key,f1..fd", "line 1")
+    dtype = _record_dtype(len(cols) - 3)
+    rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise MalformedRecordError("dataset has no rows", "line 2")
-    return Dataset(np.array(rows, dtype=np.float64), labels, group_ids, is_key)
+    try:
+        records = _text_records(rows, dtype)
+    except MalformedRecordError:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                _text_records([line], dtype, f"line {lineno}")
+        raise
+    return Dataset(records["features"], records["label"],
+                   records["group_id"].astype(np.int64), records["is_key"])
+
+
+def _text_records(rows: list, dtype: np.dtype, where=None) -> np.ndarray:
+    """CSV ``rows`` as records of the binary layout ``dtype``. A row that
+    does not parse, or holds a group id of 2**63 or more, a label other than
+    +1 or -1 or a key flag other than 0 or 1, raises at ``where``."""
+    try:
+        records = np.loadtxt(rows, dtype, delimiter=",", comments=None,
+                             ndmin=1, encoding="utf-8")
+    except ValueError as exc:  # numpy's row number counts within ``rows``
+        raise MalformedRecordError(str(exc).split(" at row ")[0], where)
+    if np.any((records["group_id"] > np.iinfo(np.int64).max)
+              | (np.abs(records["label"]) != 1) | (records["is_key"] > 1)):
+        raise MalformedRecordError(
+            "need group_id < 2**63, label +1 or -1, is_key 0 or 1", where)
+    return records
 
 
 # -- binary format ---------------------------------------------------------------
@@ -356,7 +356,7 @@ def load_model(path) -> SavedModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise MalformedRecordError(f"not a model file: {exc}", str(path))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise MalformedRecordError("not a model file", str(path))

@@ -33,8 +33,9 @@ maximum of the loss.
 
 Since a grouped value needs only each positive group's key row and each
 negative group's maximal row, a solve over an in-memory ``Dataset`` can
-price most points on a working set: the key rows plus, per negative group,
-the rows that could still be its maximum (:class:`_WorkingSet`). A
+price most points on a working set: copies of the key rows plus, per
+negative group, of the rows that could still be its maximum, from which it
+takes each group's maximal row (:class:`_WorkingSet`). A
 per-group check after each working-set pass proves that the result equals
 the full pass bit for bit; when it cannot, that point gets a full pass,
 which rebuilds the set. Two kinds of point score no row at all: the zero
@@ -295,16 +296,14 @@ class _Gathered(NamedTuple):
     max_scores: np.ndarray
 
 
-def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums,
-               visit=None) -> int:
-    """Score every row of ``data`` into ``sums``; returns the rows scored.
+def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums):
+    """Score every row of ``data`` into ``sums``, a block at a time.
 
-    ``visit(index, block, scores, amax, gathered)``, when given, sees each
-    block after it is summed: its scores, the first maximal row of each
-    negative group and the :class:`_Gathered` rows it added.
+    After summing each block, yields ``(block, scores, amax, gathered)``:
+    its scores, the first maximal row of each negative group and the
+    :class:`_Gathered` rows it added.
     """
-    rows = 0
-    for index, block in enumerate(data.iter_group_blocks()):
+    for block in data.iter_group_blocks():
         scores = _fixed_order_scores(block.X, model.w, model.b)
         neg_groups = block.labels[block.starts[:-1]] == -1
         key_rows = np.flatnonzero(block.is_key)
@@ -312,10 +311,7 @@ def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums,
         gathered = _Gathered(block.X[key_rows], scores[key_rows],
                              block.X[amax], scores[amax])
         sums.add(*gathered, delta)
-        rows += scores.size
-        if visit is not None:
-            visit(index, block, scores, amax, gathered)
-    return rows
+        yield block, scores, amax, gathered
 
 
 def eval_grouped(model: LinearModel, data, hp: Hyperparams,
@@ -338,7 +334,8 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
     if _working_set is not None:
         return _working_set.price(model, data, hp, reg)
     sums = _GroupedSums(model.d)
-    rows = _full_pass(model, data, hp.delta, sums)
+    rows = sum(scores.size for _, scores, _, _ in
+               _full_pass(model, data, hp.delta, sums))
     return sums.value(model, hp, reg, rows)
 
 
@@ -357,23 +354,21 @@ def _norm(v: np.ndarray) -> float:
 
 
 class _Built(NamedTuple):
-    """A working set: the rows of every block in turn."""
+    """A working set: rows gathered from a full pass, which it holds alone."""
 
     z: np.ndarray  # the point it was built at
     z_norm: float
-    X_key: np.ndarray  # Fortran-order copy of every key row
+    X_key: np.ndarray  # the pass's key-row gathers, one after another
     X_kept: np.ndarray  # Fortran-order copy of every kept negative row
-    kept_rows: np.ndarray  # each kept row's index in its block
     kept_starts: np.ndarray  # offsets of each negative group in X_kept
     thr: np.ndarray  # per negative group: every dropped row scored below it
-    blocks: list  # per block: X, its gathered key rows, key and group slices
+    blocks: list  # per block of the pass: its key-row and group slices
 
 
 class _Stats(NamedTuple):
     """What pricing derives from a :class:`Dataset`'s rows, in one pass."""
 
-    reach: list  # per block, P_g of each negative group: max norm of (x, 1)
-    reach_all: np.ndarray  # P_g over all blocks
+    reach: np.ndarray  # per negative group in order, P_g: max norm of (x, 1)
     reach_max: float
     col_min: np.ndarray  # per column, its smallest nonzero |x| (inf if none)
 
@@ -396,9 +391,8 @@ def _stats(data: Dataset) -> _Stats:
             neg_groups = block.labels[block.starts[:-1]] == -1
             reach.append(np.sqrt(
                 np.maximum.reduceat(sq, block.starts[:-1])[neg_groups]))
-        reach_all = np.concatenate(reach)
-        data._pricing_stats = _Stats(reach, reach_all,
-                                     float(np.max(reach_all, initial=0.0)),
+        reach = np.concatenate(reach)
+        data._pricing_stats = _Stats(reach, float(np.max(reach, initial=0.0)),
                                      col_min)
     return data._pricing_stats
 
@@ -455,11 +449,13 @@ class _WorkingSet:
       exactly zero whichever row is its maximum. Only when every group is
       certified is the working-set value returned.
 
-    Each value is the full pass's, bit for bit, because each block's key
-    rows and maximal rows are gathered from the block and summed in the
-    full pass's order. Any other point is priced by a full pass, which
-    records it and rebuilds the set. ``P_g`` and the column minima come
-    from one pass over the rows per :class:`Dataset` (:func:`_stats`).
+    Each value is the full pass's, bit for bit: per block of the pass, the
+    set's key rows and each group's maximal row, taken from its own copies
+    (``X_key``, ``X_kept``) and not from the block, hold the same values in
+    the same C-order layout as the full pass's gathers, and are summed in
+    its order. Any other point is priced by a full pass, which records it
+    and rebuilds the set. ``P_g`` and the column minima come from one pass
+    over the rows per :class:`Dataset` (:func:`_stats`).
     """
 
     def __init__(self):
@@ -531,13 +527,12 @@ class _WorkingSet:
         rows = key_scores.size + scores.size
         local = _group_argmax(scores, built.kept_starts)
         top = scores[local]
-        bound = built.thr + stats.reach_all * (t + eta)
+        bound = built.thr + stats.reach * (t + eta)
         if not np.all((top > bound) | ((top <= -1.0) & (bound <= -1.0))):
             return False, rows
-        amax = built.kept_rows[local]
-        for X, X_key, keys, groups in built.blocks:
-            sums.add(X_key, key_scores[keys], X[amax[groups]], top[groups],
-                     delta)
+        for keys, groups in built.blocks:
+            sums.add(built.X_key[keys], key_scores[keys],
+                     built.X_kept[local[groups]], top[groups], delta)
         return True, rows
 
     def _rebuilding_pass(self, model, data, delta, sums, z, theta) -> int:
@@ -552,28 +547,27 @@ class _WorkingSet:
         build = theta is not None and data.n_neg_groups <= cap
         reach = _stats(data).reach if build else None
         record, seen = [], []
-        kept = 0
-
-        def visit(index, block, scores, amax, gathered):
-            nonlocal record, kept
+        rows = kept = g0 = 0
+        self._record = None  # one record at a time
+        for block, scores, amax, gathered in _full_pass(model, data, delta,
+                                                        sums):
+            rows += scores.size
             if record is not None and not np.isfinite(scores).all():
                 record = None  # scaling such a pass is not proven exact
             elif record is not None:
                 record.append(gathered)
-            if not build or kept > cap:
-                return
-            p = reach[index]
-            thr = np.maximum(scores[amax] - 2.0 * p * theta, -1.0 - p * theta)
-            neg_groups = block.labels[block.starts[:-1]] == -1
-            group_thr = np.full(neg_groups.size, np.inf)
-            group_thr[neg_groups] = thr
-            keep = scores >= np.repeat(group_thr, np.diff(block.starts))
-            keep[amax] = True
-            kept += int(np.count_nonzero(keep))
-            seen.append((block, keep, neg_groups, thr, gathered.X_key))
-
-        self._record = None  # one record at a time
-        rows = _full_pass(model, data, delta, sums, visit)
+            if build and kept <= cap:
+                p = reach[g0:g0 + amax.size]
+                thr = np.maximum(scores[amax] - 2.0 * p * theta,
+                                 -1.0 - p * theta)
+                neg_groups = block.labels[block.starts[:-1]] == -1
+                group_thr = np.full(neg_groups.size, np.inf)
+                group_thr[neg_groups] = thr
+                keep = scores >= np.repeat(group_thr, np.diff(block.starts))
+                keep[amax] = True
+                kept += int(np.count_nonzero(keep))
+                seen.append((block, keep, neg_groups, thr, gathered.X_key))
+            g0 += amax.size
         if record is not None:
             self._record = _Record(z, record)
         if build and 0 < kept <= cap:  # 0: no negative group, nothing to screen
@@ -597,7 +591,8 @@ def _build(seen, z: np.ndarray) -> _Built:
     """Gather the rows each block of a full pass kept, with its key rows.
 
     ``seen`` holds, per block, the block, its row mask of kept rows, its
-    negative-group mask, its thresholds and its gathered key rows.
+    negative-group mask, its thresholds and its gathered key rows. Only the
+    gathers are kept, so the set holds no view of the blocks.
     """
     kept_rows, counts, blocks = [], [], []
     k0 = g0 = 0
@@ -606,7 +601,7 @@ def _build(seen, z: np.ndarray) -> _Built:
         counts.append(np.add.reduceat(keep, block.starts[:-1],
                                       dtype=np.int64)[neg_groups])
         k1, g1 = k0 + X_key.shape[0], g0 + thr.size
-        blocks.append((block.X, X_key, slice(k0, k1), slice(g0, g1)))
+        blocks.append((slice(k0, k1), slice(g0, g1)))
         k0, g0 = k1, g1
     X_kept = np.empty((sum(r.size for r in kept_rows), z.size - 1), order="F")
     lo = 0
@@ -616,9 +611,8 @@ def _build(seen, z: np.ndarray) -> _Built:
         lo += rows.size
     return _Built(
         z=z, z_norm=_norm(z),
-        X_key=np.asfortranarray(np.concatenate([e[4] for e in seen])),
+        X_key=np.concatenate([e[4] for e in seen]),
         X_kept=X_kept,
-        kept_rows=np.concatenate(kept_rows),
         kept_starts=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
         thr=np.concatenate([e[3] for e in seen]),
         blocks=blocks)

@@ -242,6 +242,28 @@ class TestTrain:
                    str(tmp_path / "m.json"), "--algo", "gcm",
                    "--lambda", "0.5") == 3
 
+    def test_non_utf8_data_is_a_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"group_id,label,is_key,f1\n0,+1,1,0.5\n1,-1,0,\xff\n")
+        before = set(tmp_path.iterdir())
+        assert run("train", "--data", str(bad), "--model-out",
+                   str(tmp_path / "m.json"), "--algo", "gcm",
+                   "--lambda", "0.5") == 3
+        assert "data error:" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_non_utf8_model_is_a_data_error(self, easy_files, tmp_path,
+                                            capsys):
+        _, test_path = easy_files
+        model = tmp_path / "m.json"
+        model.write_bytes(b"\xff{}")
+        before = set(tmp_path.iterdir())
+        assert run("evaluate", "--model", str(model), "--data",
+                   str(test_path), "--report-out",
+                   str(tmp_path / "r.csv")) == 3
+        assert f"(at {model})" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     def test_unallocatable_expansion_is_a_data_error(self, tmp_path, capsys):
         data = generate(GeneratorSpec(seed=1, n_pos_groups=4, n_neg_groups=12,
                                       group_size_min=10, group_size_max=10))

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcm import (
     BinaryDatasetReader,
@@ -30,7 +32,8 @@ from gcm import (
     save_model,
     save_text,
 )
-from gcm.data_io import BINARY_MAGIC, _HEADER_DTYPE, _record_dtype
+from gcm.data_io import (BINARY_MAGIC, _HEADER_DTYPE, _record_dtype,
+                         _text_records)
 from gcm.expansion import AffineScaler, monomial_exponents
 from conftest import build_grouped_dataset
 
@@ -86,6 +89,33 @@ class TestTextFormat:
         with pytest.raises(MalformedRecordError) as err:
             load_text(path)
         assert err.value.location == "line 3"
+
+    @pytest.mark.parametrize("text, line", [
+        (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1,-1,0,\xff\n", 3),
+        (b"group_\xe9id,label,is_key,f1\n0,+1,1,0.5\n", 1),
+        (b"group_id,label,is_key,f1\r\n\r\n0,+1,1,0.5\r1,-1,0,\xc3\n", 4),
+        # Python's int() and float() take digit underscores; the format not
+        (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1_0,-1,0,1.0\n", 3),
+        (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1,-1,0,1_0.5\n", 3),
+    ])
+    def test_bytes_that_do_not_parse_name_their_line(self, tmp_path, text,
+                                                     line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(MalformedRecordError) as err:
+            load_text(path)
+        assert err.value.location == f"line {line}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8),
+           st.sampled_from(["{!r}", "{:.17g}", "{:.25g}", "{:.3e}"]))
+    def test_features_parse_as_python_floats(self, values, form):
+        texts = [form.format(v) for v in values]
+        records = _text_records([",".join(["0", "+1", "1", *texts]).encode()],
+                                _record_dtype(len(texts)))
+        assert records["features"].tobytes() == np.array(
+            [float(t) for t in texts]).tobytes()
 
     def test_features_written_as_repr(self, tmp_path):
         X = np.array([[0.1, -2.5e-300], [1e16, -0.0], [5e-324, 123.0]])
@@ -605,6 +635,13 @@ class TestModelPersistence:
         path.write_text("{\"something\": 1}")
         with pytest.raises(MalformedRecordError):
             load_model(path)
+
+    def test_not_utf8_rejected_at_path(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(MalformedRecordError) as err:
+            load_model(path)
+        assert err.value.location == str(path)
 
     def test_reordered_monomials_rejected(self, tmp_path, rng):
         # weights trained on one monomial order must not be applied to another

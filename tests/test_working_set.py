@@ -7,6 +7,8 @@ use it must return the same models and traces as solves over a block source
 that hides its :class:`~gcm.Dataset` type, which gets plain passes.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from gcm import (
     train_gcm,
 )
 from gcm.evaluation import CvPlan
+from gcm.model import DEFAULT_BLOCK_ROWS
 from gcm.objectives import _WorkingSet
 from oracles import naive_grouped
 
@@ -41,6 +44,27 @@ class BlockSource:
     def __init__(self, data):
         self.d = data.d
         self.iter_group_blocks = data.iter_group_blocks
+
+
+@contextlib.contextmanager
+def block_budget(rows):
+    """Cut every dataset's group blocks at ``rows`` rows, so that a pass over
+    a small dataset spans several blocks."""
+    defaults = Dataset.iter_group_blocks.__defaults__
+    Dataset.iter_group_blocks.__defaults__ = (rows,)
+    try:
+        yield
+    finally:
+        Dataset.iter_group_blocks.__defaults__ = defaults
+
+
+def arrays_in(value):
+    """Every array in ``value``, looking into tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
 
 
 def as_model(point) -> LinearModel:
@@ -114,22 +138,28 @@ def pricing_cases(draw):
         points.append(point)
         if draw(st.integers(0, 5)) == 0:
             points.append(point)  # the same point twice: a zero step
-    return data, hp, points
+    # a small budget cuts the rows into several blocks, each summed apart
+    block_rows = draw(st.integers(1, 64) | st.just(DEFAULT_BLOCK_ROWS))
+    return data, hp, points, block_rows
 
 
 class TestExactness:
     @settings(max_examples=150, deadline=None)
     @given(pricing_cases())
     def test_equals_the_full_pass_bit_for_bit(self, case):
-        price_along(*case)
+        data, hp, points, block_rows = case
+        with block_budget(block_rows):
+            price_along(data, hp, points)
 
     @settings(max_examples=30, deadline=None)
     @given(pricing_cases())
     def test_matches_the_naive_oracle(self, case):
-        data, hp, points = case
+        data, hp, points, block_rows = case
         state = _WorkingSet()
-        for point in points:
-            value = eval_grouped(as_model(point), data, hp, _working_set=state)
+        with block_budget(block_rows):
+            values = [eval_grouped(as_model(point), data, hp,
+                                   _working_set=state) for point in points]
+        for point, value in zip(points, values):
             want = naive_grouped(point[:-1], point[-1], data.X, data.labels,
                                  data.group_ids, data.is_key, hp.lam,
                                  hp.epsilon, hp.delta)
@@ -149,6 +179,20 @@ class TestExactness:
         assert rows[:2] == [data.n_rows] * 2  # no set before the second pass
         assert all(r < data.n_rows / 4 for r in rows[2:-1])
         assert rows[-1] > data.n_rows  # a long step fails the certificate
+
+    def test_set_and_record_hold_no_view_of_the_rows(self):
+        rng = np.random.default_rng(3)
+        data = random_dataset(rng, 3, 12, 3, duplicates=False)
+        start, direction = rng.normal(size=4), rng.normal(size=4)
+        state = _WorkingSet()
+        with block_budget(40):
+            rows = [eval_grouped(as_model(start + s * direction), data,
+                                 Hyperparams(0.5), _working_set=state).rows
+                    for s in (0.0, 1e-3, 1.2e-3)]
+        assert rows[-1] < data.n_rows  # priced on the set
+        assert len(state._built.blocks) > 1 and len(state._record.blocks) > 1
+        held = [*arrays_in(state._built), *arrays_in(state._record)]
+        assert not any(np.shares_memory(a, data.X) for a in held)
 
     def test_tied_maxima_resolve_to_the_first_row(self):
         # each negative group holds its maximal row at the start twice,
