@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ def save_text(data: Dataset, path):
 
 
 def load_text(path) -> Dataset:
-    """Parse the CSV text format, in UTF-8, all rows at once and one at a
-    time only to name a bad line; rows are sorted by group id on ingest."""
+    """Parse the CSV text format, in UTF-8, all rows at once; rows are sorted
+    by group id on ingest. A bad row is found by bisection and named."""
     with open(path, "rb") as fh:  # lines end at \n, \r or \r\n
         lines = fh.read().splitlines() or [b""]
     cols = lines[0].strip().split(b",")
@@ -103,28 +104,33 @@ def load_text(path) -> Dataset:
         raise MalformedRecordError("dataset has no rows", "line 2")
     try:
         records = _text_records(rows, dtype)
-    except MalformedRecordError:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line.strip():
-                _text_records([line], dtype, f"line {lineno}")
-        raise
+    except ValueError as exc:
+        lo, hi = 0, len(rows)  # rows parse alone: rows[lo:hi] holds a bad one
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _text_records(rows[lo:mid], dtype)
+                lo = mid
+            except ValueError as first:
+                hi, exc = mid, first
+        lineno = [n for n, line in enumerate(lines[1:], 2) if line.strip()][lo]
+        raise MalformedRecordError(  # numpy's row number counts within rows
+            str(exc).split(" at row ")[0], f"line {lineno}") from None
     return Dataset(records["features"], records["label"],
                    records["group_id"].astype(np.int64), records["is_key"])
 
 
-def _text_records(rows: list, dtype: np.dtype, where=None) -> np.ndarray:
-    """CSV ``rows`` as records of the binary layout ``dtype``. A row that
-    does not parse, or holds a group id of 2**63 or more, a label other than
-    +1 or -1 or a key flag other than 0 or 1, raises at ``where``."""
-    try:
+def _text_records(rows: list, dtype: np.dtype) -> np.ndarray:
+    """CSV ``rows`` as records of the binary layout ``dtype``; ValueError if
+    a row does not parse or holds an id, label or key flag out of range."""
+    with warnings.catch_warnings():  # numpy 1.x reads int "1.5" as 1, warned
+        warnings.filterwarnings("error", ".*integer via a float",
+                                DeprecationWarning)
         records = np.loadtxt(rows, dtype, delimiter=",", comments=None,
                              ndmin=1, encoding="utf-8")
-    except ValueError as exc:  # numpy's row number counts within ``rows``
-        raise MalformedRecordError(str(exc).split(" at row ")[0], where)
     if np.any((records["group_id"] > np.iinfo(np.int64).max)
               | (np.abs(records["label"]) != 1) | (records["is_key"] > 1)):
-        raise MalformedRecordError(
-            "need group_id < 2**63, label +1 or -1, is_key 0 or 1", where)
+        raise ValueError("need group_id < 2**63, label +1 or -1, is_key 0 or 1")
     return records
 
 

@@ -97,6 +97,16 @@ class TestTextFormat:
         # Python's int() and float() take digit underscores; the format not
         (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1_0,-1,0,1.0\n", 3),
         (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1,-1,0,1_0.5\n", 3),
+        # ids, labels and key flags are integers, never read through a float
+        (b"group_id,label,is_key,f1\n0,1.5,1,0.5\n", 2),
+        (b"group_id,label,is_key,f1\n0,+1,0.9,0.5\n", 2),
+        (b"group_id,label,is_key,f1\n0,257,1,0.5\n", 2),
+        (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1e1,-1,0,1.0\n", 3),
+        (b"group_id,label,is_key,f1\n0,+1,1,0.5\n1,-1.9,0,1.0\n", 3),
+        # the first bad line is named, whichever check it fails
+        (b"group_id,label,is_key,f1\n0,+1,1,0.5\n\n1,2,0,1\n1,-1,0,x\n", 4),
+        (b"group_id,label,is_key,f1\n" + b"0,+1,1,0.5\n" * 40
+         + b"1,-1,0,x\n" + b"1,-1,0,1\n" * 9 + b"2,-1,2,1\n", 42),
     ])
     def test_bytes_that_do_not_parse_name_their_line(self, tmp_path, text,
                                                      line):
