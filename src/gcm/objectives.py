@@ -32,20 +32,24 @@ within a few ulps of that boundary can differ by 1 ulp from the per-row
 maximum of the loss.
 
 Since a grouped value needs only each positive group's key row and each
-negative group's maximal row, a solve over an in-memory ``Dataset`` can
-price most points on a working set: copies of the key rows plus, per
-negative group, of the rows that could still be its maximum, from which it
-takes each group's maximal row (:class:`_WorkingSet`). A
-per-group check after each working-set pass proves that the result equals
-the full pass bit for bit; when it cannot, that point gets a full pass,
-which rebuilds the set. Two kinds of point score no row at all: the zero
-point, where every group's first row is its maximum, and a power-of-two
-multiple ``2^-k z1`` of the latest full pass's point ``z1``, whose scores
-are exactly the recorded ones times ``2^-k`` while a guard on the
-exponents keeps every intermediate in the normal range. So a solve from
-zero pays one full pass for its first line search, not one per backtrack.
-A streamed source always gets full passes, so its memory stays flat.
-:attr:`ObjectiveValue.rows` counts the rows each pass scored.
+negative group's maximal row, a solve can price most points on a working
+set: copies of the key rows plus, per negative group, of the rows that
+could still be its maximum, from which it takes each group's maximal row
+(:class:`_WorkingSet`). A per-group check after each working-set pass
+proves that the result equals the full pass bit for bit; when it cannot,
+that point gets a full pass, which rebuilds the set. Two kinds of point
+score no row at all: the zero point, where every group's first row is its
+maximum, and a power-of-two multiple ``2^-k z1`` of the latest full pass's
+point ``z1``, whose scores are exactly the recorded ones times ``2^-k``
+while a guard on the exponents keeps every intermediate in the normal
+range. So a solve from zero pays one full pass for its first line search,
+not one per backtrack. The set works the same over an in-memory
+``Dataset`` and over a stream: a streamed solve decodes its file only for
+the zero point and for full passes. The set holds at most a quarter of the
+rows and at most :data:`_MAX_SET_BYTES` (32 MiB) of features, so a
+streamed solve's memory stays flat in the row count.
+:attr:`ObjectiveValue.rows` counts the rows each pass scored, not the rows
+it read.
 """
 
 from __future__ import annotations
@@ -296,14 +300,14 @@ class _Gathered(NamedTuple):
     max_scores: np.ndarray
 
 
-def _full_pass(model: LinearModel, data, delta: float, sums: _GroupedSums):
-    """Score every row of ``data`` into ``sums``, a block at a time.
+def _full_pass(model: LinearModel, blocks, delta: float, sums: _GroupedSums):
+    """Score every row of ``blocks`` into ``sums``, a block at a time.
 
     After summing each block, yields ``(block, scores, amax, gathered)``:
     its scores, the first maximal row of each negative group and the
     :class:`_Gathered` rows it added.
     """
-    for block in data.iter_group_blocks():
+    for block in blocks:
         scores = _fixed_order_scores(block.X, model.w, model.b)
         neg_groups = block.labels[block.starts[:-1]] == -1
         key_rows = np.flatnonzero(block.is_key)
@@ -324,7 +328,7 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
     maximal-score row carry subgradient coefficients; a tie resolves to the
     group's first such row, one valid subgradient chosen deterministically.
 
-    ``_working_set`` is the state of one solve over a :class:`Dataset` (see
+    ``_working_set`` is the state of one solve over ``data`` (see
     :class:`_WorkingSet`); the value is bit-identical with or without it.
     """
     _check_dims(model, data.d)
@@ -335,12 +339,16 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
         return _working_set.price(model, data, hp, reg)
     sums = _GroupedSums(model.d)
     rows = sum(scores.size for _, scores, _, _ in
-               _full_pass(model, data, hp.delta, sums))
+               _full_pass(model, data.iter_group_blocks(), hp.delta, sums))
     return sums.value(model, hp, reg, rows)
 
 
-#: A working set is built only when it holds at most this share of the rows.
+#: A working set holds at most this share of the rows, and at most
+#: :data:`_MAX_SET_BYTES` of features.
 _MAX_SHARE = 0.25
+#: Bytes of features a working set may hold; a full pass's record is kept
+#: only while it holds no more. Memory then stays flat in the row count.
+_MAX_SET_BYTES = 32 * 2 ** 20
 #: Relative slack on the step length ``t`` of the certificate.
 _STEP_SLACK = 1e-12
 #: Certified only while ``P_g (|z| + |z'| + t)`` stays below this, so no
@@ -366,34 +374,52 @@ class _Built(NamedTuple):
 
 
 class _Stats(NamedTuple):
-    """What pricing derives from a :class:`Dataset`'s rows, in one pass."""
+    """What pricing derives from a source's rows, in one pass over them."""
 
+    n_rows: int
+    n_pos_groups: int
     reach: np.ndarray  # per negative group in order, P_g: max norm of (x, 1)
     reach_max: float
     col_min: np.ndarray  # per column, its smallest nonzero |x| (inf if none)
 
 
+class _Measure:
+    """Accumulates :class:`_Stats` over blocks fed in row order."""
+
+    def __init__(self, d: int):
+        self.n_rows = self.n_pos_groups = 0
+        self.reach = []
+        self.col_min = np.full(d, np.inf)
+
+    def add(self, block: GroupBlock):
+        sq = np.ones(block.X.shape[0])
+        for j in range(block.X.shape[1]):
+            x = block.X[:, j]
+            sq += x * x
+            ax = np.abs(x)
+            m = ax.min()  # a zero entry is rare: only then mask it out
+            if m == 0.0:
+                m = np.min(ax, where=ax > 0.0, initial=np.inf)
+            self.col_min[j] = min(self.col_min[j], m)
+        neg_groups = block.labels[block.starts[:-1]] == -1
+        self.n_rows += sq.size
+        self.n_pos_groups += int(np.count_nonzero(~neg_groups))
+        self.reach.append(np.sqrt(
+            np.maximum.reduceat(sq, block.starts[:-1])[neg_groups]))
+
+    def stats(self) -> _Stats:
+        reach = np.concatenate(self.reach)
+        return _Stats(self.n_rows, self.n_pos_groups, reach,
+                      float(np.max(reach, initial=0.0)), self.col_min)
+
+
 def _stats(data: Dataset) -> _Stats:
     """``data``'s :class:`_Stats`, computed at the first call and kept on it."""
     if data._pricing_stats is None:
-        col_min = np.full(data.d, np.inf)
-        reach = []
+        measure = _Measure(data.d)
         for block in data.iter_group_blocks():
-            sq = np.ones(block.X.shape[0])
-            for j in range(data.d):
-                x = block.X[:, j]
-                sq += x * x
-                ax = np.abs(x)
-                m = ax.min()  # a zero entry is rare: only then mask it out
-                if m == 0.0:
-                    m = np.min(ax, where=ax > 0.0, initial=np.inf)
-                col_min[j] = min(col_min[j], m)
-            neg_groups = block.labels[block.starts[:-1]] == -1
-            reach.append(np.sqrt(
-                np.maximum.reduceat(sq, block.starts[:-1])[neg_groups]))
-        reach = np.concatenate(reach)
-        data._pricing_stats = _Stats(reach, float(np.max(reach, initial=0.0)),
-                                     col_min)
+            measure.add(block)
+        data._pricing_stats = measure.stats()
     return data._pricing_stats
 
 
@@ -411,8 +437,8 @@ class _Record(NamedTuple):
 
 
 class _WorkingSet:
-    """Pricing of the grouped objective for one solve over a
-    :class:`Dataset`, bit-identical to a full pass but scoring fewer rows.
+    """Pricing of the grouped objective for one solve, bit-identical to a
+    full pass but scoring fewer rows and, over a stream, decoding less.
 
     Three kinds of point need no full pass:
 
@@ -430,15 +456,16 @@ class _WorkingSet:
       subnormal, so each rounds exactly as at ``z1`` scaled by ``2^-k``:
       every score at ``z`` is ``2^-k`` times its score at ``z1``, the
       maximal rows are the same, and the recorded scores are scaled. No row
-      is scored. The solver's first line search from zero tries exactly
-      such points.
+      is scored and nothing is read. The solver's first line search from
+      zero tries exactly such points.
     * **A point certified on the working set**. After a full pass at point
       ``z``, each negative group ``g`` keeps the rows with score
       ``s >= thr_g = max(m_g - 2 P_g theta, -1 - P_g theta)`` and its first
       maximal row: ``m_g`` is its maximum score, ``P_g`` the largest norm of
       ``(x, 1)`` over its rows and ``theta`` the distance from the point
       priced before. The working set is those rows plus every key row, and
-      it is built only when it holds at most a quarter of the rows.
+      it is built only when it holds at most a quarter of the rows and at
+      most :data:`_MAX_SET_BYTES` of features.
 
       At a later point ``z'``, at distance ``t`` from ``z``, no dropped row
       scores above ``thr_g + P_g t`` (Cauchy-Schwarz); ``eta`` bounds the
@@ -454,25 +481,35 @@ class _WorkingSet:
     (``X_key``, ``X_kept``) and not from the block, hold the same values in
     the same C-order layout as the full pass's gathers, and are summed in
     its order. Any other point is priced by a full pass, which records it
-    and rebuilds the set. ``P_g`` and the column minima come from one pass
-    over the rows per :class:`Dataset` (:func:`_stats`).
+    and rebuilds the set.
+
+    The set works the same over a :class:`Dataset` and over a stream of
+    blocks: only full passes, and the zero point, read the source. ``P_g``,
+    the column minima and the group counts (:class:`_Stats`) are ``stats``
+    when given, which a :class:`Dataset` keeps (:func:`_stats`); otherwise
+    the solve's first pass measures them as it reads, so a stream pays no
+    extra decode for them. Memory stays flat in the row count: the set and
+    the record each hold at most :data:`_MAX_SET_BYTES` of features, and a
+    stream's kept rows are gathered block by block, since its blocks are
+    not held.
     """
 
-    def __init__(self):
+    def __init__(self, stats: _Stats | None = None):
+        self._stats = stats
         self._last: np.ndarray | None = None  # the point priced before
         self._record: _Record | None = None
         self._built: _Built | None = None
 
-    def price(self, model: LinearModel, data: Dataset, hp: Hyperparams,
+    def price(self, model: LinearModel, data, hp: Hyperparams,
               reg: float) -> ObjectiveValue:
         z = np.append(model.w, model.b)
         theta = None if self._last is None else _norm(z - self._last)
         self._last = z
         sums = _GroupedSums(model.d)
         if not z.any():
-            _zero_pass(model, data, hp.delta, sums)
+            _zero_pass(model, self._blocks(data), hp.delta, sums)
             return sums.value(model, hp, reg, 0)
-        k = self._scale(z, data)
+        k = self._scale(z)
         if k is not None:
             for X_key, key_scores, X_max, max_scores in self._record.blocks:
                 sums.add(X_key, np.ldexp(key_scores, -k),
@@ -480,15 +517,25 @@ class _WorkingSet:
             return sums.value(model, hp, reg, 0)
         rows = 0
         if self._built is not None:
-            certified, rows = self._certified_pass(model, data, z, hp.delta,
-                                                   sums)
+            certified, rows = self._certified_pass(model, z, hp.delta, sums)
             if certified:
                 return sums.value(model, hp, reg, rows)
             self._built = None
         rows += self._rebuilding_pass(model, data, hp.delta, sums, z, theta)
         return sums.value(model, hp, reg, rows)
 
-    def _scale(self, z: np.ndarray, data: Dataset) -> int | None:
+    def _blocks(self, data):
+        """``data``'s blocks; the first pass without stats measures them."""
+        if self._stats is not None:
+            yield from data.iter_group_blocks()
+            return
+        measure = _Measure(data.d)
+        for block in data.iter_group_blocks():
+            measure.add(block)
+            yield block
+        self._stats = measure.stats()
+
+    def _scale(self, z: np.ndarray) -> int | None:
         """``k`` when ``z = 2^-k z1`` for the recorded point ``z1`` and every
         score at ``z`` is exactly ``2^-k`` times its score at ``z1``."""
         if self._record is None:
@@ -503,17 +550,16 @@ class _WorkingSet:
                 and np.array_equal(np.signbit(z), np.signbit(z1))):
             return None
         w1, b1 = z1[:-1], z1[-1]
-        col_min = _stats(data).col_min
+        col_min = self._stats.col_min
         terms = (w1 != 0.0) & np.isfinite(col_min)
         q = _ulp_exponent(w1[terms]) + _ulp_exponent(col_min[terms])
         if b1 != 0.0:
             q = np.append(q, _ulp_exponent(b1))
         return k if np.all(q - k >= -1022) else None
 
-    def _certified_pass(self, model, data, z, delta,
-                        sums) -> tuple[bool, int]:
+    def _certified_pass(self, model, z, delta, sums) -> tuple[bool, int]:
         """Price the working set into ``sums``; (certified, rows scored)."""
-        built, stats = self._built, _stats(data)
+        built, stats = self._built, self._stats
         t = _norm(z - built.z) * (1.0 + _STEP_SLACK)
         scale = built.z_norm + _norm(z) + t
         if not stats.reach_max * scale < _SCORE_LIMIT:
@@ -541,23 +587,34 @@ class _WorkingSet:
 
         No set is built at the solve's first point, where ``theta`` is
         None, nor where one row per negative group would already exceed the
-        cap. Only a pass whose scores are all finite is recorded.
+        cap. The rows a block keeps are gathered at once from a stream,
+        whose blocks are not held, and at the end from a :class:`Dataset`,
+        whose blocks are views of its rows; either way they are dropped
+        once they pass the cap. Only a pass whose scores are all finite is
+        recorded, and only while its record fits the byte budget.
         """
-        cap = _MAX_SHARE * data.n_rows - data.n_pos_groups
-        build = theta is not None and data.n_neg_groups <= cap
-        reach = _stats(data).reach if build else None
-        record, seen = [], []
-        rows = kept = g0 = 0
+        budget = _MAX_SET_BYTES // (8 * data.d)  # in rows of features
+        seen = None  # per block, what _build needs, while the set fits
+        if theta is not None:
+            stats = self._stats
+            cap = min(_MAX_SHARE * stats.n_rows, budget) - stats.n_pos_groups
+            if stats.reach.size <= cap:
+                seen = []
+        views = isinstance(data, Dataset)  # its blocks are views of its rows
+        record = []
+        rows = recorded = kept = g0 = 0
         self._record = None  # one record at a time
-        for block, scores, amax, gathered in _full_pass(model, data, delta,
-                                                        sums):
+        for block, scores, amax, gathered in _full_pass(
+                model, self._blocks(data), delta, sums):
             rows += scores.size
-            if record is not None and not np.isfinite(scores).all():
-                record = None  # scaling such a pass is not proven exact
+            recorded += gathered.key_scores.size + amax.size
+            if record is not None and (recorded > budget
+                                       or not np.isfinite(scores).all()):
+                record = None  # too large, or scaling it is not proven exact
             elif record is not None:
                 record.append(gathered)
-            if build and kept <= cap:
-                p = reach[g0:g0 + amax.size]
+            if seen is not None:
+                p = stats.reach[g0:g0 + amax.size]
                 thr = np.maximum(scores[amax] - 2.0 * p * theta,
                                  -1.0 - p * theta)
                 neg_groups = block.labels[block.starts[:-1]] == -1
@@ -566,20 +623,27 @@ class _WorkingSet:
                 keep = scores >= np.repeat(group_thr, np.diff(block.starts))
                 keep[amax] = True
                 kept += int(np.count_nonzero(keep))
-                seen.append((block, keep, neg_groups, thr, gathered.X_key))
+                if kept > cap:
+                    seen = None
+                else:
+                    kept_rows = np.flatnonzero(keep)
+                    counts = np.diff(np.searchsorted(kept_rows, block.starts))
+                    gather = ((block.X, kept_rows) if views
+                              else (_take_rows(block.X, kept_rows), None))
+                    seen.append((*gather, counts[neg_groups], thr,
+                                 gathered.X_key))
             g0 += amax.size
         if record is not None:
             self._record = _Record(z, record)
-        if build and 0 < kept <= cap:  # 0: no negative group, nothing to screen
+        if seen and kept:  # no kept row: no negative group, nothing to screen
             self._built = _build(seen, z)
         return rows
 
 
-def _zero_pass(model: LinearModel, data: Dataset, delta: float,
-               sums: _GroupedSums):
-    """Sum a pass at a zero point into ``sums``: every score is ±0, so each
-    negative group's first row is its first maximal row."""
-    for block in data.iter_group_blocks():
+def _zero_pass(model: LinearModel, blocks, delta: float, sums: _GroupedSums):
+    """Sum a pass over ``blocks`` at a zero point into ``sums``: every score
+    is ±0, so each negative group's first row is its first maximal row."""
+    for block in blocks:
         key_rows = np.flatnonzero(block.is_key)
         firsts = block.starts[:-1][block.labels[block.starts[:-1]] == -1]
         X_key, X_max = block.X[key_rows], block.X[firsts]
@@ -587,32 +651,45 @@ def _zero_pass(model: LinearModel, data: Dataset, delta: float,
                  X_max, _fixed_order_scores(X_max, model.w, model.b), delta)
 
 
+def _take_rows(X: np.ndarray, rows: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``rows`` of the Fortran-order ``X``, gathered a column at a
+    time into ``out``, a new Fortran-order matrix when None."""
+    if out is None:
+        out = np.empty((rows.size, X.shape[1]), order="F")
+    for j in range(X.shape[1]):
+        np.take(X[:, j], rows, out=out[:, j])
+    return out
+
+
 def _build(seen, z: np.ndarray) -> _Built:
     """Gather the rows each block of a full pass kept, with its key rows.
 
-    ``seen`` holds, per block, the block, its row mask of kept rows, its
-    negative-group mask, its thresholds and its gathered key rows. Only the
-    gathers are kept, so the set holds no view of the blocks.
+    ``seen`` holds, per block, its kept rows (a matrix and their indices
+    in it, or a gathered matrix and None), its kept-row count per negative
+    group, its thresholds and its gathered key rows. Only gathers are kept,
+    so the set holds no view of the blocks.
     """
-    kept_rows, counts, blocks = [], [], []
+    blocks = []
     k0 = g0 = 0
-    for block, keep, neg_groups, thr, X_key in seen:
-        kept_rows.append(np.flatnonzero(keep))
-        counts.append(np.add.reduceat(keep, block.starts[:-1],
-                                      dtype=np.int64)[neg_groups])
+    for *_, thr, X_key in seen:
         k1, g1 = k0 + X_key.shape[0], g0 + thr.size
         blocks.append((slice(k0, k1), slice(g0, g1)))
         k0, g0 = k1, g1
-    X_kept = np.empty((sum(r.size for r in kept_rows), z.size - 1), order="F")
+    sizes = [X.shape[0] if rows is None else rows.size for X, rows, *_ in seen]
+    X_kept = np.empty((sum(sizes), z.size - 1), order="F")
     lo = 0
-    for (block, *_), rows in zip(seen, kept_rows):
-        for j in range(X_kept.shape[1]):
-            np.take(block.X[:, j], rows, out=X_kept[lo:lo + rows.size, j])
-        lo += rows.size
+    for (X, rows, *_), n in zip(seen, sizes):
+        if rows is None:
+            X_kept[lo:lo + n] = X
+        else:
+            _take_rows(X, rows, X_kept[lo:lo + n])
+        lo += n
+    counts = np.concatenate([e[2] for e in seen])
     return _Built(
         z=z, z_norm=_norm(z),
         X_key=np.concatenate([e[4] for e in seen]),
         X_kept=X_kept,
-        kept_starts=np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+        kept_starts=np.concatenate(([0], np.cumsum(counts))),
         thr=np.concatenate([e[3] for e in seen]),
         blocks=blocks)

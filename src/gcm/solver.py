@@ -13,6 +13,7 @@ float64 numpy, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import enum
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,7 +46,10 @@ class SolverConfig:
     """When a solve stops: an iteration cap and two tolerances.
 
     The defaults suit every objective in this package. The line search and
-    the curvature memory use the fixed module constants above.
+    the curvature memory use the fixed module constants above. The cap must
+    be an integer of at least 1 and each tolerance a number of at least 0:
+    a tolerance of 0 turns its stopping rule off, and a NaN or negative one
+    is refused rather than silently doing the same.
     """
 
     max_iterations: int = 1000
@@ -53,8 +57,15 @@ class SolverConfig:
     rel_obj_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise DomainError(f"max_iterations must be an integer >= 1, "
+                              f"got {self.max_iterations!r}")
+        for name in ("grad_inf_tolerance", "rel_obj_tolerance"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value >= 0.0):
+                raise DomainError(f"{name} must be a number >= 0, "
+                                  f"got {value!r}")
 
 
 @dataclass
@@ -62,7 +73,10 @@ class SolveTrace:
     """What happened during a solve; ``objective_history`` is non-increasing.
 
     ``rows_priced`` sums the ``rows`` of every objective value of the solve:
-    the data rows its passes scored.
+    the data rows its passes scored, which is not what they read. A
+    working-set value scores the rows the set holds and reads none; a
+    scaled backtrack reads and scores none; the zero start scores none but,
+    over a stream, reads the file once.
     """
 
     iterations: int

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from .model import Dataset, Hyperparams, LinearModel
-from .objectives import _WorkingSet, eval_grouped, eval_per_candidate
+from .objectives import _stats, _WorkingSet, eval_grouped, eval_per_candidate
 from .solver import SolverConfig, SolveTrace, minimize
 
 
@@ -49,28 +49,31 @@ def train_gcm(data: Dataset, hp: Hyperparams,
               ) -> tuple[LinearModel, SolveTrace]:
     """Minimize the grouped objective (key positives, max-loss negatives).
 
-    Over an in-memory :class:`Dataset` the solve prices points on a working
-    set whenever it can prove the result equal to a full pass, and prices
-    the zero start and the backtracks of its first line search, which are
-    power-of-two multiples of the first step, from gathered rows without
-    scoring any (see :class:`~gcm.objectives._WorkingSet`). A streamed
-    source is read whole at every point. Either way the model and trace are
-    the same, bit for bit, except ``rows_priced``.
+    ``data`` is a :class:`Dataset` or a stream of group blocks such as a
+    :class:`~gcm.data_io.BinaryDatasetReader`. Either way the solve prices
+    points on a working set whenever it can prove the result equal to a
+    full pass, and prices the zero start and the backtracks of its first
+    line search, which are power-of-two multiples of the first step, from
+    gathered rows without scoring any (see
+    :class:`~gcm.objectives._WorkingSet`). Only full passes, and the zero
+    start, read a stream. The set holds at most a quarter of the rows and
+    at most ``_MAX_SET_BYTES`` (32 MiB) of features, so a streamed solve
+    keeps flat memory. The model and trace, ``rows_priced`` included, are
+    the same for both sources, bit for bit.
     """
-    return _train(eval_grouped, data, hp, cfg, None,
-                  screened=isinstance(data, Dataset))
+    state = _WorkingSet(_stats(data) if isinstance(data, Dataset) else None)
+    return _train(lambda *args: eval_grouped(*args, _working_set=state),
+                  data, hp, cfg, None)
 
 
 def _train(objective, data: Dataset, hp: Hyperparams,
-           cfg: SolverConfig | None, start: LinearModel | None,
-           screened: bool = False) -> tuple[LinearModel, SolveTrace]:
+           cfg: SolverConfig | None, start: LinearModel | None
+           ) -> tuple[LinearModel, SolveTrace]:
     """Minimize ``objective(model, data, hp)`` from ``start`` or zero.
 
     The caller passes the objective it looked up at call time, so a patched
-    module attribute is the one that runs. ``screened`` gives each call a
-    working set that lives for this solve only.
+    module attribute is the one that runs.
     """
-    state = {"_working_set": _WorkingSet()} if screened else {}
     if hp.lam == 1.0:
         warnings.warn(
             "lam=1 disables regularization; on separable data the infimum may "
@@ -78,7 +81,7 @@ def _train(objective, data: Dataset, hp: Hyperparams,
             stacklevel=3,
         )
     point, trace = minimize(
-        lambda p: objective(_unpack(p), data, hp, **state),
+        lambda p: objective(_unpack(p), data, hp),
         np.zeros(data.d + 1) if start is None
         else np.concatenate([start.w, [start.b]]),
         cfg,

@@ -167,6 +167,34 @@ class TestSolverBehavior:
         with pytest.raises(DomainError):
             SolverConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 2.5),
+        ("max_iterations", float("inf")),
+        ("max_iterations", 10.0),
+        ("max_iterations", "10"),
+        ("max_iterations", -3),
+        ("grad_inf_tolerance", float("nan")),
+        ("grad_inf_tolerance", -1e-6),
+        ("grad_inf_tolerance", "0"),
+        ("rel_obj_tolerance", float("nan")),
+        ("rel_obj_tolerance", -1e-10),
+        ("rel_obj_tolerance", None),
+    ])
+    def test_config_refuses_what_a_solve_cannot_run(self, field, value):
+        # a cap that range() refuses would fail only after the start point
+        # is priced, and a NaN or negative tolerance never fires
+        with pytest.raises(DomainError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_zero_tolerances_run_a_fixed_number_of_iterations(self):
+        cfg = SolverConfig(max_iterations=np.int64(3), grad_inf_tolerance=0.0,
+                           rel_obj_tolerance=0.0)
+        # exp has no minimizer: no tolerance of 0 can fire
+        _, trace = minimize(fused(lambda x: float(np.sum(np.exp(x))), np.exp),
+                            np.array([3.0, -4.0]), cfg)
+        assert trace.iterations == 3
+        assert trace.termination_reason is Termination.MAX_ITERATIONS
+
 
 class TestTrainers:
     def test_train_per_candidate_and_gcm_run(self, rng):

@@ -2,12 +2,18 @@
 
 Every value priced with a working set, at a zero point or at a power-of-two
 multiple of the latest full pass's point, must equal the plain full pass bit
-for bit: the total, the three terms and the gradient bytes. The solves that
-use it must return the same models and traces as solves over a block source
-that hides its :class:`~gcm.Dataset` type, which gets plain passes.
+for bit: the total, the three terms and the gradient bytes, whether the set
+reads an in-memory :class:`~gcm.Dataset` or a streamed file. The solves that
+use it must return the same models and traces as solves that price every
+point with a plain full pass, and a streamed solve must equal the in-memory
+one, ``rows_priced`` included, while decoding its file less often than it
+prices a point.
 """
 
 import contextlib
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcm.evaluation
+import gcm.objectives
 import gcm.train
 from gcm import (
     Algorithm,
@@ -34,12 +41,14 @@ from gcm import (
 )
 from gcm.evaluation import CvPlan
 from gcm.model import DEFAULT_BLOCK_ROWS
-from gcm.objectives import _WorkingSet
+from gcm.objectives import _MAX_SET_BYTES, _WorkingSet, _stats
+from gcm.solver import minimize
 from oracles import naive_grouped
 
 
 class BlockSource:
-    """The group-aligned blocks of a dataset, without its ``Dataset`` type."""
+    """The group-aligned blocks of a dataset, without its ``Dataset`` type:
+    a solve over it measures its rows as a stream does."""
 
     def __init__(self, data):
         self.d = data.d
@@ -48,14 +57,28 @@ class BlockSource:
 
 @contextlib.contextmanager
 def block_budget(rows):
-    """Cut every dataset's group blocks at ``rows`` rows, so that a pass over
-    a small dataset spans several blocks."""
-    defaults = Dataset.iter_group_blocks.__defaults__
-    Dataset.iter_group_blocks.__defaults__ = (rows,)
+    """Cut every dataset's and every binary reader's group blocks at
+    ``rows`` rows, so that a pass over a small dataset spans several
+    blocks."""
+    functions = (Dataset.iter_group_blocks,
+                 BinaryDatasetReader.iter_group_blocks)
+    defaults = [f.__defaults__ for f in functions]
+    for f in functions:
+        f.__defaults__ = (rows,)
     try:
         yield
     finally:
-        Dataset.iter_group_blocks.__defaults__ = defaults
+        for f, saved in zip(functions, defaults):
+            f.__defaults__ = saved
+
+
+@contextlib.contextmanager
+def binary_copy(data):
+    """The path of a binary file that holds ``data``, removed on exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.bin")
+        save_binary(data, path)
+        yield path
 
 
 def arrays_in(value):
@@ -79,14 +102,16 @@ def assert_same_value(got, want):
     assert got.gradient().tobytes() == want.gradient().tobytes()
 
 
-def price_along(data, hp, points):
-    """Price ``points`` in turn with one working set; check each against a
-    plain pass, and return the rows each working-set call scored."""
+def price_along(data, hp, points, source=None):
+    """Price ``points`` in turn with one working set over ``source``
+    (``data`` when None); check each against a plain pass over ``data``, and
+    return the rows each working-set call scored."""
     state = _WorkingSet()
     rows = []
     for point in points:
         model = as_model(point)
-        got = eval_grouped(model, data, hp, _working_set=state)
+        got = eval_grouped(model, data if source is None else source, hp,
+                           _working_set=state)
         assert_same_value(got, eval_grouped(model, data, hp))
         rows.append(got.rows)
     return rows
@@ -150,6 +175,17 @@ class TestExactness:
         data, hp, points, block_rows = case
         with block_budget(block_rows):
             price_along(data, hp, points)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pricing_cases(), st.integers(1, 16))
+    def test_streamed_equals_the_full_pass_bit_for_bit(self, case, chunk):
+        """A streamed set, read in chunks of a few rows and cut into small
+        blocks, prices each point as the in-memory set does."""
+        data, hp, points, block_rows = case
+        with block_budget(block_rows), binary_copy(data) as path:
+            reader = BinaryDatasetReader(path, read_chunk_rows=chunk)
+            assert (price_along(data, hp, points, reader)
+                    == price_along(data, hp, points))
 
     @settings(max_examples=30, deadline=None)
     @given(pricing_cases())
@@ -308,6 +344,18 @@ class TestZeroAndScaledPoints:
         rows = price_along(data, hp, first_line_search(p))
         assert rows == [0, data.n_rows] + [0] * 40
 
+    def test_record_over_the_byte_budget_is_not_kept(self, monkeypatch):
+        """A record holds a row per group. When those rows pass the byte
+        budget, nothing is recorded and each backtrack gets a full pass."""
+        rng = np.random.default_rng(5)
+        data = random_dataset(rng, 3, 12, 3, duplicates=True)
+        hp = Hyperparams(0.5)
+        p = -eval_grouped(as_model(np.zeros(4)), data, hp).gradient()
+        monkeypatch.setattr(gcm.objectives, "_MAX_SET_BYTES",
+                            8 * data.d * (data.n_groups - 1))
+        rows = price_along(data, hp, first_line_search(p))
+        assert rows == [0] + [data.n_rows] * 41
+
     def test_guard_refuses_scores_that_turn_subnormal(self):
         """At ``z1 = (1, 0, 0)`` the negative group's scores are the least
         normal float and the next one up, so its second row is the maximum.
@@ -324,25 +372,65 @@ class TestZeroAndScaledPoints:
         assert rows == [3, 3]
 
 
-class TestRowsPriced:
-    def test_streamed_solve_prices_every_row_at_every_call(self, tmp_path,
+def test_first_decode_measures_what_a_dataset_keeps(tmp_path):
+    """A stream's first pass measures the stats a ``Dataset`` caches, bit
+    for bit, and keeps them with the solve, not on the reader."""
+    data = random_dataset(np.random.default_rng(7), 3, 12, 3, duplicates=False)
+    path = tmp_path / "d.bin"
+    save_binary(data, path)
+    reader = BinaryDatasetReader(path, read_chunk_rows=5)
+    state = _WorkingSet()
+    with block_budget(16):
+        eval_grouped(as_model(np.zeros(4)), reader, Hyperparams(0.5),
+                     _working_set=state)
+    got, want = state._stats, _stats(data)
+    assert (got.n_rows, got.n_pos_groups, got.reach.size) == (
+        data.n_rows, data.n_pos_groups, data.n_neg_groups)
+    assert got.reach_max == want.reach_max
+    assert got.reach.tobytes() == want.reach.tobytes()
+    assert got.col_min.tobytes() == want.col_min.tobytes()
+    assert not hasattr(reader, "_pricing_stats")
+
+
+def plain_solve(data, hp, cfg):
+    """The solve that prices every point with a plain full pass."""
+    point, trace = minimize(lambda p: eval_grouped(as_model(p), data, hp),
+                            np.zeros(data.d + 1), cfg)
+    return as_model(point), trace
+
+
+class TestStreamedSolves:
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_equal_the_in_memory_solve_with_fewer_decodes(self, delta,
+                                                           tmp_path,
                                                            monkeypatch):
         data = generate(GeneratorSpec(seed=3, n_pos_groups=8, n_neg_groups=40))
         path = tmp_path / "d.bin"
         save_binary(data, path)
-        cfg = SolverConfig(max_iterations=30)
-        calls = []
+        hp, cfg = Hyperparams(0.5, delta=delta), SolverConfig(max_iterations=30)
+        calls, decodes = [], []
 
         def counted(model, source, hp, **state):
             calls.append(source)
             return eval_grouped(model, source, hp, **state)
 
+        read = BinaryDatasetReader.iter_group_blocks
+
+        def decoding(reader, *args, **kwargs):
+            decodes.append(reader)
+            return read(reader, *args, **kwargs)
+
         monkeypatch.setattr(gcm.train, "eval_grouped", counted)
-        _, streamed = train_gcm(BinaryDatasetReader(path), Hyperparams(0.5), cfg)
-        _, in_memory = train_gcm(data, Hyperparams(0.5), cfg)
-        n_streamed = sum(isinstance(s, BinaryDatasetReader) for s in calls)
-        assert streamed.rows_priced == n_streamed * data.n_rows
-        assert in_memory.rows_priced < (len(calls) - n_streamed) * data.n_rows
+        monkeypatch.setattr(BinaryDatasetReader, "iter_group_blocks", decoding)
+        streamed = train_gcm(BinaryDatasetReader(path), hp, cfg)
+        n_calls = len(calls)
+        in_memory = train_gcm(data, hp, cfg)
+        assert_same_solve(streamed, in_memory)
+        assert streamed[1].rows_priced == in_memory[1].rows_priced
+        assert len(calls) == 2 * n_calls
+        # only the zero start and full passes read the file: the backtracks
+        # of the first line search and certified points read nothing
+        assert 0 < len(decodes) < n_calls
 
 
 def assert_same_solve(got, want):
@@ -357,14 +445,18 @@ def assert_same_solve(got, want):
 
 class TestSolves:
     def test_criterion_fixture_solve(self):
-        """The criterion 7/8 solve: same model, about a third of the rows."""
+        """The criterion 7/8 solve: same model, about a third of the rows,
+        and the same rows from a source that is not a ``Dataset``."""
         train = generate(hard_negatives_spec(seed=2004))
         hp = Hyperparams(lam=0.5, epsilon=1.0, delta=0.5)
         cfg = SolverConfig(max_iterations=400)
         screened = train_gcm(train, hp, cfg)
-        full = train_gcm(BlockSource(train), hp, cfg)
+        full = plain_solve(train, hp, cfg)
         assert_same_solve(screened, full)
         assert screened[1].rows_priced <= 0.40 * full[1].rows_priced
+        blocks = train_gcm(BlockSource(train), hp, cfg)
+        assert_same_solve(blocks, full)
+        assert blocks[1].rows_priced == screened[1].rows_priced
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_small_solves(self, delta):
@@ -373,7 +465,7 @@ class TestSolves:
         hp = Hyperparams(lam=0.5, delta=delta)
         cfg = SolverConfig(max_iterations=60)
         screened = train_gcm(data, hp, cfg)
-        full = train_gcm(BlockSource(data), hp, cfg)
+        full = plain_solve(data, hp, cfg)
         assert_same_solve(screened, full)
         # at least the zero start scores no row
         assert screened[1].rows_priced <= full[1].rows_priced - data.n_rows
@@ -385,9 +477,45 @@ class TestSolves:
         cfg = SolverConfig(max_iterations=100)
         screened = [cross_validate(data, Algorithm.GCM, plan, delta=delta,
                                    solver_cfg=cfg) for delta in (0.0, 0.5)]
-        plain = gcm.evaluation.train_gcm
-        monkeypatch.setattr(gcm.evaluation, "train_gcm",
-                            lambda d, hp, c: plain(BlockSource(d), hp, c))
+        monkeypatch.setattr(gcm.evaluation, "train_gcm", plain_solve)
         assert [cross_validate(data, Algorithm.GCM, plan, delta=delta,
                                solver_cfg=cfg)
                 for delta in (0.0, 0.5)] == screened
+
+
+class TestStreamedMemory:
+    """A streamed solve keeps flat memory: one read chunk and two blocks, as
+    a single streamed pass does (criterion 9), plus at most the set's byte
+    budget, whatever the row count."""
+
+    #: Criterion 9's ceiling for one streamed pass.
+    CEILING = 64 * 1024 * 1024
+
+    @staticmethod
+    def peak(path) -> int:
+        tracemalloc.start()
+        try:
+            train_gcm(BinaryDatasetReader(path), Hyperparams(0.5),
+                      SolverConfig(max_iterations=30))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_stays_below_the_ceiling_and_flat(self, tmp_path,
+                                                   monkeypatch):
+        paths = []
+        # about 200k and 400k rows, 23 and 46 MB: 4 and 7 blocks
+        for n_neg in (1000, 2000):
+            path = tmp_path / f"{n_neg}.bin"
+            save_binary(generate(hard_negatives_spec(
+                seed=11, n_pos_groups=20, n_neg_groups=n_neg)), path)
+            paths.append(path)
+        for path in paths:
+            assert self.peak(path) < self.CEILING + _MAX_SET_BYTES
+        # Under the quarter cap the set may grow with the rows. A budget that
+        # binds at both sizes leaves nothing to grow, where holding the
+        # decoded blocks would add 23 MB at the larger size.
+        budget = 2 ** 20
+        monkeypatch.setattr(gcm.objectives, "_MAX_SET_BYTES", budget)
+        small, large = (self.peak(path) for path in paths)
+        assert large < small + budget
