@@ -436,6 +436,15 @@ class _Record(NamedTuple):
     blocks: list
 
 
+class _Pending(NamedTuple):
+    """A point that :meth:`_WorkingSet.reuse` left to a pass over the
+    source."""
+
+    z: np.ndarray
+    theta: float | None  # its distance from the point priced before
+    rows: int  # the rows a certified pass scored there and did not prove
+
+
 class _WorkingSet:
     """Pricing of the grouped objective for one solve, bit-identical to a
     full pass but scoring fewer rows and, over a stream, decoding less.
@@ -483,6 +492,14 @@ class _WorkingSet:
     its order. Any other point is priced by a full pass, which records it
     and rebuilds the set.
 
+    :meth:`reuse` prices the points that need no pass over the source and
+    leaves the others pending; :meth:`price`, which :func:`eval_grouped`
+    calls, makes the pending pass or tries :meth:`reuse` first. A solve
+    that calls :meth:`reuse` itself and :func:`eval_grouped` only when it
+    returns None (``train_gcm`` does) calls :func:`eval_grouped` once per
+    pass over the source, so over a stream every such call decodes the
+    file exactly once.
+
     The set works the same over a :class:`Dataset` and over a stream of
     blocks: only full passes, and the zero point, read the source. ``P_g``,
     the column minima and the group counts (:class:`_Stats`) are ``stats``
@@ -499,29 +516,57 @@ class _WorkingSet:
         self._last: np.ndarray | None = None  # the point priced before
         self._record: _Record | None = None
         self._built: _Built | None = None
+        self._pending: _Pending | None = None
 
-    def price(self, model: LinearModel, data, hp: Hyperparams,
-              reg: float) -> ObjectiveValue:
+    def reuse(self, model: LinearModel,
+              hp: Hyperparams) -> ObjectiveValue | None:
+        """The value at ``model`` when the record or the set gives it, or
+        None when the point needs a pass over the source: the zero point,
+        or a full pass. Then the next :meth:`price` at ``model`` makes that
+        pass and only that."""
+        if hp.lam == 0.0:
+            return None
         z = np.append(model.w, model.b)
         theta = None if self._last is None else _norm(z - self._last)
         self._last = z
+        rows = 0
+        if z.any():
+            k = self._scale(z)
+            if k is not None:
+                sums = _GroupedSums(model.d)
+                for X_key, key_scores, X_max, max_scores in self._record.blocks:
+                    sums.add(X_key, np.ldexp(key_scores, -k),
+                             X_max, np.ldexp(max_scores, -k), hp.delta)
+                return sums.value(model, hp, _regularization(model, hp), 0)
+            if self._built is not None:
+                sums = _GroupedSums(model.d)
+                certified, rows = self._certified_pass(model, z, hp.delta,
+                                                       sums)
+                if certified:
+                    return sums.value(model, hp, _regularization(model, hp),
+                                      rows)
+                self._built = None
+        self._pending = _Pending(z, theta, rows)
+        return None
+
+    def price(self, model: LinearModel, data, hp: Hyperparams,
+              reg: float) -> ObjectiveValue:
+        """The value at ``model``: from :meth:`reuse` if it gives one,
+        otherwise from a pass over ``data``."""
+        z = np.append(model.w, model.b)
+        pending = self._pending
+        if pending is None or not np.array_equal(pending.z, z):
+            value = self.reuse(model, hp)
+            if value is not None:
+                return value
+            pending = self._pending
+        self._pending = None
         sums = _GroupedSums(model.d)
         if not z.any():
             _zero_pass(model, self._blocks(data), hp.delta, sums)
             return sums.value(model, hp, reg, 0)
-        k = self._scale(z)
-        if k is not None:
-            for X_key, key_scores, X_max, max_scores in self._record.blocks:
-                sums.add(X_key, np.ldexp(key_scores, -k),
-                         X_max, np.ldexp(max_scores, -k), hp.delta)
-            return sums.value(model, hp, reg, 0)
-        rows = 0
-        if self._built is not None:
-            certified, rows = self._certified_pass(model, z, hp.delta, sums)
-            if certified:
-                return sums.value(model, hp, reg, rows)
-            self._built = None
-        rows += self._rebuilding_pass(model, data, hp.delta, sums, z, theta)
+        rows = pending.rows + self._rebuilding_pass(
+            model, data, hp.delta, sums, z, pending.theta)
         return sums.value(model, hp, reg, rows)
 
     def _blocks(self, data):

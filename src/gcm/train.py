@@ -59,11 +59,19 @@ def train_gcm(data: Dataset, hp: Hyperparams,
     start, read a stream. The set holds at most a quarter of the rows and
     at most ``_MAX_SET_BYTES`` (32 MiB) of features, so a streamed solve
     keeps flat memory. The model and trace, ``rows_priced`` included, are
-    the same for both sources, bit for bit.
+    the same for both sources, bit for bit. The solve calls
+    :func:`~gcm.objectives.eval_grouped` only for the points it prices
+    from the source, once per pass.
     """
     state = _WorkingSet(_stats(data) if isinstance(data, Dataset) else None)
-    return _train(lambda *args: eval_grouped(*args, _working_set=state),
-                  data, hp, cfg, None)
+
+    def objective(model, data, hp):
+        value = state.reuse(model, hp)
+        if value is None:  # the zero start or a full pass: read the source
+            value = eval_grouped(model, data, hp, _working_set=state)
+        return value
+
+    return _train(objective, data, hp, cfg, None)
 
 
 def _train(objective, data: Dataset, hp: Hyperparams,

@@ -408,10 +408,15 @@ class TestStreamedSolves:
         path = tmp_path / "d.bin"
         save_binary(data, path)
         hp, cfg = Hyperparams(0.5, delta=delta), SolverConfig(max_iterations=30)
-        calls, decodes = [], []
+        calls, passes, decodes = [], [], []
+        reuse = _WorkingSet.reuse
+
+        def objective(state, model, hp):
+            calls.append(model)
+            return reuse(state, model, hp)
 
         def counted(model, source, hp, **state):
-            calls.append(source)
+            passes.append(source)
             return eval_grouped(model, source, hp, **state)
 
         read = BinaryDatasetReader.iter_group_blocks
@@ -420,17 +425,20 @@ class TestStreamedSolves:
             decodes.append(reader)
             return read(reader, *args, **kwargs)
 
+        monkeypatch.setattr(_WorkingSet, "reuse", objective)
         monkeypatch.setattr(gcm.train, "eval_grouped", counted)
         monkeypatch.setattr(BinaryDatasetReader, "iter_group_blocks", decoding)
         streamed = train_gcm(BinaryDatasetReader(path), hp, cfg)
-        n_calls = len(calls)
+        n_calls, n_passes = len(calls), len(passes)
         in_memory = train_gcm(data, hp, cfg)
         assert_same_solve(streamed, in_memory)
         assert streamed[1].rows_priced == in_memory[1].rows_priced
-        assert len(calls) == 2 * n_calls
-        # only the zero start and full passes read the file: the backtracks
-        # of the first line search and certified points read nothing
-        assert 0 < len(decodes) < n_calls
+        assert (len(calls), len(passes)) == (2 * n_calls, 2 * n_passes)
+        # only the zero start and full passes read the file, each once and
+        # each through eval_grouped: the backtracks of the first line search
+        # and certified points read nothing
+        assert len(decodes) == n_passes
+        assert 0 < n_passes < n_calls
 
 
 def assert_same_solve(got, want):
@@ -469,6 +477,24 @@ class TestSolves:
         assert_same_solve(screened, full)
         # at least the zero start scores no row
         assert screened[1].rows_priced <= full[1].rows_priced - data.n_rows
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_reuse_then_a_pass_is_one_price(self, delta):
+        """train_gcm's reuse, then eval_grouped when reuse gives nothing,
+        prices every point as one eval_grouped call with the set does: a
+        point reuse left pending is not tried on the set again."""
+        data = generate(hard_negatives_spec(seed=7, n_pos_groups=12,
+                                            n_neg_groups=60))
+        hp = Hyperparams(lam=0.5, delta=delta)
+        cfg = SolverConfig(max_iterations=60)
+        state = _WorkingSet(_stats(data))
+        point, trace = minimize(
+            lambda p: eval_grouped(as_model(p), data, hp, _working_set=state),
+            np.zeros(data.d + 1), cfg)
+        split = train_gcm(data, hp, cfg)
+        assert_same_solve(split, (as_model(point), trace))
+        assert split[1].rows_priced == trace.rows_priced
+        assert trace.rows_priced < plain_solve(data, hp, cfg)[1].rows_priced
 
     def test_cross_validate(self, monkeypatch):
         data = generate(hard_negatives_spec(seed=7, n_pos_groups=12,
