@@ -46,8 +46,9 @@ range. So a solve from zero pays one full pass for its first line search,
 not one per backtrack. The set works the same over an in-memory
 ``Dataset`` and over a stream: a streamed solve decodes its file only for
 the zero point and for full passes. The set holds at most a quarter of the
-rows and at most :data:`_MAX_SET_BYTES` (32 MiB) of features, so a
-streamed solve's memory stays flat in the row count.
+rows; over a stream, the set and the record each hold at most
+:data:`_MAX_SET_BYTES` (32 MiB) of features, so a streamed solve's memory
+stays flat in the row count.
 :attr:`ObjectiveValue.rows` counts the rows each pass scored, not the rows
 it read.
 """
@@ -334,20 +335,21 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
     _check_dims(model, data.d)
     if hp.lam == 0.0:
         return _regularization_only(model, hp)
-    reg = _regularization(model, hp)
     if _working_set is not None:
-        return _working_set.price(model, data, hp, reg)
+        return _working_set.price(model, data, hp)
+    reg = _regularization(model, hp)
     sums = _GroupedSums(model.d)
     rows = sum(scores.size for _, scores, _, _ in
                _full_pass(model, data.iter_group_blocks(), hp.delta, sums))
     return sums.value(model, hp, reg, rows)
 
 
-#: A working set holds at most this share of the rows, and at most
-#: :data:`_MAX_SET_BYTES` of features.
+#: A working set holds at most this share of the rows.
 _MAX_SHARE = 0.25
-#: Bytes of features a working set may hold; a full pass's record is kept
-#: only while it holds no more. Memory then stays flat in the row count.
+#: Bytes of features a stream's working set may hold; its full pass's
+#: record is kept only while it holds no more. A streamed solve's memory
+#: then stays flat in the row count. A ``Dataset`` holds every row anyway,
+#: so its set and record are not held to it.
 _MAX_SET_BYTES = 32 * 2 ** 20
 #: Relative slack on the step length ``t`` of the certificate.
 _STEP_SLACK = 1e-12
@@ -473,8 +475,8 @@ class _WorkingSet:
       maximal row: ``m_g`` is its maximum score, ``P_g`` the largest norm of
       ``(x, 1)`` over its rows and ``theta`` the distance from the point
       priced before. The working set is those rows plus every key row, and
-      it is built only when it holds at most a quarter of the rows and at
-      most :data:`_MAX_SET_BYTES` of features.
+      it is built only when it holds at most a quarter of the rows and,
+      over a stream, at most :data:`_MAX_SET_BYTES` of features.
 
       At a later point ``z'``, at distance ``t`` from ``z``, no dropped row
       scores above ``thr_g + P_g t`` (Cauchy-Schwarz); ``eta`` bounds the
@@ -494,21 +496,23 @@ class _WorkingSet:
 
     :meth:`reuse` prices the points that need no pass over the source and
     leaves the others pending; :meth:`price`, which :func:`eval_grouped`
-    calls, makes the pending pass or tries :meth:`reuse` first. A solve
-    that calls :meth:`reuse` itself and :func:`eval_grouped` only when it
-    returns None (``train_gcm`` does) calls :func:`eval_grouped` once per
-    pass over the source, so over a stream every such call decodes the
-    file exactly once.
+    calls, makes the pending pass or tries :meth:`reuse` first. A streamed
+    solve (``train_gcm``) calls :meth:`reuse` itself and
+    :func:`eval_grouped` only when it returns None, so each of its
+    :func:`eval_grouped` calls decodes the file once.
 
     The set works the same over a :class:`Dataset` and over a stream of
     blocks: only full passes, and the zero point, read the source. ``P_g``,
     the column minima and the group counts (:class:`_Stats`) are ``stats``
     when given, which a :class:`Dataset` keeps (:func:`_stats`); otherwise
     the solve's first pass measures them as it reads, so a stream pays no
-    extra decode for them. Memory stays flat in the row count: the set and
-    the record each hold at most :data:`_MAX_SET_BYTES` of features, and a
-    stream's kept rows are gathered block by block, since its blocks are
-    not held.
+    extra decode for them. A streamed solve's memory stays flat in the row
+    count: its set and its record each hold at most :data:`_MAX_SET_BYTES`
+    of features, and its kept rows are gathered block by block, since its
+    blocks are not held. At the end of a rebuilding pass the new record,
+    those gathers and :func:`_build`'s copy of them are all held, so the
+    solve holds at most ``3 * _MAX_SET_BYTES`` of features beyond what a
+    single streamed pass holds.
     """
 
     def __init__(self, stats: _Stats | None = None):
@@ -549,8 +553,8 @@ class _WorkingSet:
         self._pending = _Pending(z, theta, rows)
         return None
 
-    def price(self, model: LinearModel, data, hp: Hyperparams,
-              reg: float) -> ObjectiveValue:
+    def price(self, model: LinearModel, data,
+              hp: Hyperparams) -> ObjectiveValue:
         """The value at ``model``: from :meth:`reuse` if it gives one,
         otherwise from a pass over ``data``."""
         z = np.append(model.w, model.b)
@@ -561,6 +565,7 @@ class _WorkingSet:
                 return value
             pending = self._pending
         self._pending = None
+        reg = _regularization(model, hp)
         sums = _GroupedSums(model.d)
         if not z.any():
             _zero_pass(model, self._blocks(data), hp.delta, sums)
@@ -636,16 +641,18 @@ class _WorkingSet:
         whose blocks are not held, and at the end from a :class:`Dataset`,
         whose blocks are views of its rows; either way they are dropped
         once they pass the cap. Only a pass whose scores are all finite is
-        recorded, and only while its record fits the byte budget.
+        recorded, and, over a stream, only while its record fits the byte
+        budget.
         """
-        budget = _MAX_SET_BYTES // (8 * data.d)  # in rows of features
+        views = isinstance(data, Dataset)  # its blocks are views of its rows
+        # in rows of features
+        budget = math.inf if views else _MAX_SET_BYTES // (8 * data.d)
         seen = None  # per block, what _build needs, while the set fits
         if theta is not None:
             stats = self._stats
             cap = min(_MAX_SHARE * stats.n_rows, budget) - stats.n_pos_groups
             if stats.reach.size <= cap:
                 seen = []
-        views = isinstance(data, Dataset)  # its blocks are views of its rows
         record = []
         rows = recorded = kept = g0 = 0
         self._record = None  # one record at a time

@@ -56,18 +56,26 @@ def train_gcm(data: Dataset, hp: Hyperparams,
     line search, which are power-of-two multiples of the first step, from
     gathered rows without scoring any (see
     :class:`~gcm.objectives._WorkingSet`). Only full passes, and the zero
-    start, read a stream. The set holds at most a quarter of the rows and
-    at most ``_MAX_SET_BYTES`` (32 MiB) of features, so a streamed solve
-    keeps flat memory. The model and trace, ``rows_priced`` included, are
-    the same for both sources, bit for bit. The solve calls
-    :func:`~gcm.objectives.eval_grouped` only for the points it prices
-    from the source, once per pass.
+    start, read a stream. A stream's set and record each hold at most
+    ``_MAX_SET_BYTES`` (32 MiB) of features, so a streamed solve keeps flat
+    memory. The model and trace, ``rows_priced`` included, are the same
+    for both sources, bit for bit.
+
+    Over a :class:`Dataset` every point is one
+    :func:`~gcm.objectives.eval_grouped` call. Over a stream the set prices
+    what it can first (:meth:`~gcm.objectives._WorkingSet.reuse`), and
+    :func:`~gcm.objectives.eval_grouped` is called only for the points that
+    decode the file, once per decode.
     """
-    state = _WorkingSet(_stats(data) if isinstance(data, Dataset) else None)
+    if isinstance(data, Dataset):
+        state = _WorkingSet(_stats(data))
+        return _train(lambda *args: eval_grouped(*args, _working_set=state),
+                      data, hp, cfg, None)
+    state = _WorkingSet()
 
     def objective(model, data, hp):
         value = state.reuse(model, hp)
-        if value is None:  # the zero start or a full pass: read the source
+        if value is None:  # the zero start or a full pass: decode the file
             value = eval_grouped(model, data, hp, _working_set=state)
         return value
 
