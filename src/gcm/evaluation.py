@@ -28,7 +28,7 @@ from ._floattext import csv_lines, float_text, int_text
 from .baselines import MISVM_INNER_EPSILON, MISVM_MAX_OUTER, train_mi_svm
 from .errors import ConfigurationError, DomainError
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Dataset, Hyperparams, LinearModel
-from .objectives import _group_argmax
+from .objectives import _group_argmax, _stats, _WorkingSet
 from .solver import SolverConfig
 from .train import train_gcm, train_per_candidate
 
@@ -234,7 +234,9 @@ def training_hyperparams(algo: Algorithm, lam: float,
 def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
                   epsilon: float = DEFAULT_EPSILON, delta: float = DEFAULT_DELTA,
                   solver_cfg: SolverConfig | None = None,
-                  misvm_max_outer: int = MISVM_MAX_OUTER
+                  misvm_max_outer: int = MISVM_MAX_OUTER,
+                  start: LinearModel | None = None, *,
+                  _working_set: _WorkingSet | None = None
                   ) -> tuple[LinearModel, dict]:
     """Train one algorithm and return (model, run details).
 
@@ -242,13 +244,22 @@ def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
     inner problems train at ``lam`` itself. MI-SVM's details hold the outer
     iteration count, whether the selector reached its fixed point, and the
     selected row per positive group as ``{group_id: row}``.
+
+    ``start`` warm-starts the GCM and per-candidate solves; MI-SVM keeps its
+    own group-mean start and refuses one. ``_working_set``, a working set
+    over ``data`` carried from an earlier fit, reaches only
+    :func:`~gcm.train.train_gcm`.
     """
     hp = training_hyperparams(algo, lam, epsilon, delta)
     if algo is Algorithm.GCM:
-        model, trace = train_gcm(data, hp, solver_cfg)
+        model, trace = train_gcm(data, hp, solver_cfg, start,
+                                 _working_set=_working_set)
     elif algo in (Algorithm.GCM_NOGROUP, Algorithm.SVM):
-        model, trace = train_per_candidate(data, hp, solver_cfg)
+        model, trace = train_per_candidate(data, hp, solver_cfg, start)
     elif algo is Algorithm.MISVM:
+        if start is not None:
+            raise ConfigurationError(
+                "MI-SVM starts from its group means and takes no start")
         if not 0.0 < lam < 1.0:
             raise DomainError(f"MI-SVM needs lam in (0, 1), got {lam}")
         model, selected, outer, converged = train_mi_svm(
@@ -302,16 +313,29 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
 
     The selection metric is group-level AUC for the grouped algorithms and
     candidate-level AUC for the per-candidate ones; both are reported for
-    every grid point. Folds partition groups (never rows), stratified by
-    polarity; one loop visits them, fitting the whole grid on each, so only
-    one fold's training and validation subsets are held at a time. A fold
-    whose training or validation side is single-class is skipped with a
-    warning; ties on the metric resolve to the earliest grid point.
-    Deterministic given ``plan.seed``.
+    every grid point, in the order of ``plan.lambda_grid``. Folds partition
+    groups (never rows), stratified by polarity; one loop visits them,
+    fitting the whole grid on each, so only one fold's training and
+    validation subsets are held at a time. A fold whose training or
+    validation side is single-class is skipped with a warning; ties on the
+    metric resolve to the earliest grid point. Deterministic given
+    ``plan.seed``.
+
+    Each fold fits its grid as one chain, in ascending lambda (a stable
+    sort, so equal values keep their grid order): the first fit starts
+    from zero and each later one from the fit before, so a value's result
+    does not depend on where it sits in the grid. MI-SVM, which has its own
+    start, fits every value cold. A GCM chain shares one working set over
+    the fold's training rows (see :func:`~gcm.train.train_gcm`), so a warm
+    start is priced near the previous optimum. A warm-started fit stops
+    within the solver's tolerances of the same optimum as a cold one, so
+    its AUCs may differ from a cold fit's in the last digits.
     """
     folds = make_group_folds(data, plan)
     group_aucs = [[] for _ in plan.lambda_grid]
     cand_aucs = [[] for _ in plan.lambda_grid]
+    chain = sorted(range(len(plan.lambda_grid)),
+                   key=lambda i: plan.lambda_grid[i])
     for k, valid_ids in enumerate(folds):
         train_ids = np.concatenate(folds[:k] + folds[k + 1:])
         if len(train_ids) == 0 or len(valid_ids) == 0:
@@ -323,9 +347,15 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
                valid_data.n_pos_groups, valid_data.n_neg_groups) == 0:
             warnings.warn(f"fold {k} has a single class; skipping")
             continue
-        for i, lam in enumerate(plan.lambda_grid):
-            model, _ = fit_algorithm(algo, train_data, lam, epsilon, delta,
-                                     solver_cfg, misvm_max_outer)
+        state = (_WorkingSet(_stats(train_data)) if algo is Algorithm.GCM
+                 else None)
+        model = None
+        for i in chain:
+            model, _ = fit_algorithm(
+                algo, train_data, plan.lambda_grid[i], epsilon, delta,
+                solver_cfg, misvm_max_outer,
+                None if algo is Algorithm.MISVM else model,
+                _working_set=state)
             report = evaluate_model(model, valid_data)
             group_aucs[i].append(report.group_auc)
             cand_aucs[i].append(report.candidate_auc)

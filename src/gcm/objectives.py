@@ -329,8 +329,9 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
     maximal-score row carry subgradient coefficients; a tie resolves to the
     group's first such row, one valid subgradient chosen deterministically.
 
-    ``_working_set`` is the state of one solve over ``data`` (see
-    :class:`_WorkingSet`); the value is bit-identical with or without it.
+    ``_working_set`` is the state of one solve, or of a chain of solves,
+    over ``data`` (see :class:`_WorkingSet`); the value is bit-identical
+    with or without it.
     """
     _check_dims(model, data.d)
     if hp.lam == 0.0:
@@ -450,6 +451,9 @@ class _Pending(NamedTuple):
 class _WorkingSet:
     """Pricing of the grouped objective for one solve, bit-identical to a
     full pass but scoring fewer rows and, over a stream, decoding less.
+    Nothing it holds depends on the hyperparameters, so a chain of solves
+    over the same rows may share one: each solve then prices its first
+    point from what the solve before left.
 
     Three kinds of point need no full pass:
 

@@ -1,11 +1,13 @@
 """Training entry points: grouped and per-candidate minimization.
 
 Both trainers run one solve, :func:`_train`, and differ only in the
-objective it prices. ``train_gcm`` starts from the zero model;
-``train_per_candidate`` starts from ``start`` when one is given (MI-SVM
-warm-starts each inner problem from the previous model) and from zero
-otherwise. The objectives are convex, so the start affects only the
-iteration count. The solve packs ``(w, b)`` into one flat vector for the
+objective it prices. Each starts from ``start`` when one is given and from
+the zero model otherwise: MI-SVM warm-starts each inner problem from the
+previous model, and cross-validation each fit of a fold's trade-off chain
+from the fit before. The objectives are convex, so the start moves only
+the iteration count and, within the solver's tolerances, the last digits
+of the result. A ``start`` whose width is not ``data.d`` is refused before
+any pass. The solve packs ``(w, b)`` into one flat vector for the
 solver, which takes each accepted point's gradient from the
 :class:`~gcm.objectives.ObjectiveValue` of the pass that priced it; that
 gradient comes in the same layout, weights then bias.
@@ -17,6 +19,7 @@ import warnings
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .model import Dataset, Hyperparams, LinearModel
 from .objectives import _stats, _WorkingSet, eval_grouped, eval_per_candidate
 from .solver import SolverConfig, SolveTrace, minimize
@@ -36,18 +39,32 @@ def _unpack(point: np.ndarray) -> LinearModel:
     return LinearModel(w=point[:-1], b=float(point[-1]))
 
 
+def _start_point(start: LinearModel | None, d: int) -> np.ndarray:
+    """``start`` packed as ``(w, b)``, or zero when None; a ``start`` of
+    another width than ``d`` is refused."""
+    if start is None:
+        return np.zeros(d + 1)
+    if start.d != d:
+        raise DimensionMismatchError(d, start.d, "start")
+    return np.concatenate([start.w, [start.b]])
+
+
 def train_per_candidate(data: Dataset, hp: Hyperparams,
                         cfg: SolverConfig | None = None,
                         start: LinearModel | None = None
                         ) -> tuple[LinearModel, SolveTrace]:
     """Minimize the per-candidate objective over ``data``."""
-    return _train(eval_per_candidate, data, hp, cfg, start)
+    return _train(eval_per_candidate, data, hp, cfg,
+                  _start_point(start, data.d))
 
 
 def train_gcm(data: Dataset, hp: Hyperparams,
-              cfg: SolverConfig | None = None
+              cfg: SolverConfig | None = None,
+              start: LinearModel | None = None, *,
+              _working_set: _WorkingSet | None = None
               ) -> tuple[LinearModel, SolveTrace]:
-    """Minimize the grouped objective (key positives, max-loss negatives).
+    """Minimize the grouped objective (key positives, max-loss negatives)
+    from ``start``, or from the zero model when it is None.
 
     ``data`` is a :class:`Dataset` or a stream of group blocks such as a
     :class:`~gcm.data_io.BinaryDatasetReader`. Either way the solve prices
@@ -66,12 +83,22 @@ def train_gcm(data: Dataset, hp: Hyperparams,
     what it can first (:meth:`~gcm.objectives._WorkingSet.reuse`), and
     :func:`~gcm.objectives.eval_grouped` is called only for the points that
     decode the file, once per decode.
+
+    ``_working_set`` carries the set of an earlier solve over the same
+    ``data`` into this one, as cross-validation does along a fold's chain
+    of trade-offs, so a warm start can be certified on the set built near
+    the previous optimum. The set, its record and its certificate depend
+    only on the points and the rows, never on ``hp``, so the model and
+    trace equal those of a fresh set bit for bit; only ``rows_priced``
+    differs.
     """
+    x0 = _start_point(start, data.d)  # refused before the set measures rows
+    state = _working_set
+    if state is None:
+        state = _WorkingSet(_stats(data) if isinstance(data, Dataset) else None)
     if isinstance(data, Dataset):
-        state = _WorkingSet(_stats(data))
         return _train(lambda *args: eval_grouped(*args, _working_set=state),
-                      data, hp, cfg, None)
-    state = _WorkingSet()
+                      data, hp, cfg, x0)
 
     def objective(model, data, hp):
         value = state.reuse(model, hp)
@@ -79,13 +106,13 @@ def train_gcm(data: Dataset, hp: Hyperparams,
             value = eval_grouped(model, data, hp, _working_set=state)
         return value
 
-    return _train(objective, data, hp, cfg, None)
+    return _train(objective, data, hp, cfg, x0)
 
 
 def _train(objective, data: Dataset, hp: Hyperparams,
-           cfg: SolverConfig | None, start: LinearModel | None
+           cfg: SolverConfig | None, x0: np.ndarray
            ) -> tuple[LinearModel, SolveTrace]:
-    """Minimize ``objective(model, data, hp)`` from ``start`` or zero.
+    """Minimize ``objective(model, data, hp)`` from the packed point ``x0``.
 
     The caller passes the objective it looked up at call time, so a patched
     module attribute is the one that runs.
@@ -96,10 +123,6 @@ def _train(objective, data: Dataset, hp: Hyperparams,
             "not be attained and the run is bounded only by the iteration cap",
             stacklevel=3,
         )
-    point, trace = minimize(
-        lambda p: objective(_unpack(p), data, hp),
-        np.zeros(data.d + 1) if start is None
-        else np.concatenate([start.w, [start.b]]),
-        cfg,
-    )
+    point, trace = minimize(lambda p: objective(_unpack(p), data, hp), x0,
+                            cfg)
     return _unpack(point), trace

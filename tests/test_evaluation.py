@@ -352,28 +352,58 @@ class TestCrossValidate:
 
     def test_single_class_fold_is_skipped(self):
         # 4 positive groups dealt into 5 folds: fold 4 validates no positive;
-        # the other folds' AUCs differ by lambda and by training set; with
-        # 0.6 first, reversing or rotating the grid moves its group AUCs
+        # the other folds' AUCs differ by lambda and by training set. Five
+        # iterations stop every fit short of its optimum, so cold fits give
+        # other AUCs than the warm-started chain.
         ds = generate(GeneratorSpec(seed=1, n_pos_groups=4, n_neg_groups=12,
                                     group_size_min=3, group_size_max=6, d=3,
                                     key_shift=1.5))
         plan = CvPlan(folds=5, lambda_grid=(0.6, 0.3, 0.9), seed=2)
+        cfg = SolverConfig(max_iterations=5)
         with pytest.warns(UserWarning, match="fold 4 has a single class"):
-            best, results = cross_validate(ds, Algorithm.GCM, plan)
-        # reference: every lambda over every usable fold, lambda outermost
+            best, results = cross_validate(ds, Algorithm.GCM, plan,
+                                           solver_cfg=cfg)
         folds = make_group_folds(ds, plan)
         all_ids = np.concatenate(folds)
-        splits = [(ds.subset_groups(np.setdiff1d(all_ids, f)),
-                   ds.subset_groups(f)) for f in folds[:4]]
-        expected = []
-        for lam in plan.lambda_grid:
-            reports = [evaluate_model(fit_algorithm(Algorithm.GCM, tr, lam)[0],
-                                      va) for tr, va in splits]
-            expected.append(gcm.evaluation.LambdaCvResult(
-                lam, float(np.mean([r.group_auc for r in reports])),
-                float(np.mean([r.candidate_auc for r in reports])), 4))
-        assert repr(results) == repr(expected)
+
+        def reference(warm):
+            """Per usable fold, the grid in ascending order, each fit
+            warm-started from the one before when ``warm``."""
+            reports = {lam: [] for lam in plan.lambda_grid}
+            for f in folds[:4]:
+                tr = ds.subset_groups(np.setdiff1d(all_ids, f))
+                va = ds.subset_groups(f)
+                model = None
+                for lam in sorted(plan.lambda_grid):
+                    model, _ = fit_algorithm(Algorithm.GCM, tr, lam,
+                                             solver_cfg=cfg,
+                                             start=model if warm else None)
+                    reports[lam].append(evaluate_model(model, va))
+            return [gcm.evaluation.LambdaCvResult(
+                lam, float(np.mean([r.group_auc for r in reports[lam]])),
+                float(np.mean([r.candidate_auc for r in reports[lam]])), 4)
+                for lam in plan.lambda_grid]
+
+        expected = reference(warm=True)
+        assert repr(results) == repr(expected) != repr(reference(warm=False))
         assert best == max(expected, key=lambda r: r.mean_group_auc).lam
+
+    @pytest.mark.parametrize("algo", [Algorithm.GCM, Algorithm.SVM,
+                                      Algorithm.GCM_NOGROUP])
+    def test_permuted_grid_permutes_the_results(self, algo):
+        ds = generate(GeneratorSpec(seed=1, n_pos_groups=6, n_neg_groups=12,
+                                    group_size_min=3, group_size_max=6, d=3,
+                                    key_shift=1.5))
+        cfg = SolverConfig(max_iterations=60)
+        grid = (0.6, 0.3, 0.9, 0.1)
+        results = {}
+        for order in (grid, grid[::-1], tuple(sorted(grid))):
+            _, got = cross_validate(ds, algo, CvPlan(3, order, seed=2),
+                                    solver_cfg=cfg)
+            assert [r.lam for r in got] == list(order)
+            results[order] = sorted(got, key=lambda r: r.lam)
+        first, *others = results.values()
+        assert all(repr(r) == repr(first) for r in others)
 
     def test_every_fold_skipped_fits_nothing(self, monkeypatch):
         # one positive group: each fold lacks positives on one side
@@ -393,6 +423,12 @@ class TestFitAlgorithm:
         model, _ = fit_algorithm(Algorithm.SVM, ds, lam=0.5, delta=0.5)
         reference, _ = train_per_candidate(ds, Hyperparams(0.5, 1.0, 0.0))
         assert np.array_equal(model.w, reference.w) and model.b == reference.b
+
+    def test_misvm_refuses_a_start(self, rng):
+        ds = build_grouped_dataset(rng, 4, 5, 2, 4, 2)
+        start = LinearModel(np.zeros(ds.d), 0.0)
+        with pytest.raises(ConfigurationError, match="start"):
+            fit_algorithm(Algorithm.MISVM, ds, lam=0.5, start=start)
 
     def test_misvm_details(self, rng):
         ds = build_grouped_dataset(rng, 4, 5, 2, 4, 2)

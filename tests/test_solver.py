@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import gcm.train
 from gcm import (
     BinaryDatasetReader,
+    Dataset,
+    DimensionMismatchError,
     DomainError,
     GeneratorSpec,
     Hyperparams,
@@ -205,6 +208,28 @@ class TestTrainers:
         assert m1.d == ds.d and m2.d == ds.d
         assert t1.objective_history[-1] <= t1.objective_history[0]
         assert t2.objective_history[-1] <= t2.objective_history[0]
+
+    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("source", ["gcm", "per-candidate", "gcm-stream"])
+    def test_start_of_another_width_is_refused_before_any_pass(
+            self, source, width, rng, tmp_path, monkeypatch):
+        ds = build_grouped_dataset(rng, 4, 6, 2, 4, 3)
+        path = tmp_path / "d.bin"
+        save_binary(ds, path)
+        data = BinaryDatasetReader(path) if source == "gcm-stream" else ds
+        trainer = train_per_candidate if source == "per-candidate" else train_gcm
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the start was checked")
+
+        for owner, name in ((gcm.train, "eval_grouped"),
+                            (gcm.train, "eval_per_candidate"),
+                            (Dataset, "iter_group_blocks"),
+                            (BinaryDatasetReader, "iter_group_blocks")):
+            monkeypatch.setattr(owner, name, no_pass)
+        start = LinearModel(np.ones(width), 0.5)
+        with pytest.raises(DimensionMismatchError, match="start"):
+            trainer(data, Hyperparams(lam=0.5), start=start)
 
     def test_lambda_one_warns(self, rng):
         ds = build_grouped_dataset(rng, 2, 2, 1, 3, 2)

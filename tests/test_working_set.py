@@ -7,7 +7,8 @@ reads an in-memory :class:`~gcm.Dataset` or a streamed file. The solves that
 use it must return the same models and traces as solves that price every
 point with a plain full pass, and a streamed solve must equal the in-memory
 one, ``rows_priced`` included, while decoding its file less often than it
-prices a point.
+prices a point. Warm-started solves keep both contracts, and a set carried
+from one solve to the next gives each the solve of a fresh set.
 """
 
 import contextlib
@@ -396,10 +397,12 @@ def test_first_decode_measures_what_a_dataset_keeps(tmp_path):
     assert not hasattr(reader, "_pricing_stats")
 
 
-def plain_solve(data, hp, cfg):
-    """The solve that prices every point with a plain full pass."""
+def plain_solve(data, hp, cfg, start=None, _working_set=None):
+    """The solve that prices every point with a plain full pass, from
+    ``start`` or zero; a working set passed in goes unused."""
+    x0 = np.zeros(data.d + 1) if start is None else np.append(start.w, start.b)
     point, trace = minimize(lambda p: eval_grouped(as_model(p), data, hp),
-                            np.zeros(data.d + 1), cfg)
+                            x0, cfg)
     return as_model(point), trace
 
 
@@ -447,6 +450,21 @@ class TestStreamedSolves:
         assert len(decodes) == len(passes)
         assert 0 < len(passes) < n_calls
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_warm_start_equals_the_in_memory_solve(self, delta, tmp_path):
+        data = generate(GeneratorSpec(seed=3, n_pos_groups=8, n_neg_groups=40))
+        path = tmp_path / "d.bin"
+        save_binary(data, path)
+        cfg = SolverConfig(max_iterations=60)
+        start, _ = train_gcm(data, Hyperparams(0.3, delta=delta), cfg)
+        hp = Hyperparams(0.6, delta=delta)
+        in_memory = train_gcm(data, hp, cfg, start)
+        streamed = train_gcm(BinaryDatasetReader(path, read_chunk_rows=7), hp,
+                             cfg, start)
+        assert_same_solve(streamed, in_memory)
+        assert streamed[1].rows_priced == in_memory[1].rows_priced
+        assert_same_solve(in_memory, plain_solve(data, hp, cfg, start))
+
 
 def assert_same_solve(got, want):
     (model, trace), (ref_model, ref_trace) = got, want
@@ -484,6 +502,26 @@ class TestSolves:
         assert_same_solve(screened, full)
         # at least the zero start scores no row
         assert screened[1].rows_priced <= full[1].rows_priced - data.n_rows
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_chain_sharing_one_set_equals_fresh_sets(self, delta):
+        """Warm-started fits along a lambda chain that share one working
+        set give each fit the model and trace of the same warm-started fit
+        with a fresh set, and score fewer rows in all."""
+        data = generate(hard_negatives_spec(seed=7, n_pos_groups=12,
+                                            n_neg_groups=60))
+        cfg = SolverConfig(max_iterations=100)
+        shared = _WorkingSet(_stats(data))
+        start, carried, fresh = None, 0, 0
+        for lam in (0.2, 0.4, 0.6, 0.8):
+            hp = Hyperparams(lam, delta=delta)
+            got = train_gcm(data, hp, cfg, start, _working_set=shared)
+            want = train_gcm(data, hp, cfg, start)
+            assert_same_solve(got, want)
+            carried += got[1].rows_priced
+            fresh += want[1].rows_priced
+            start = got[0]
+        assert carried < fresh
 
     def test_cross_validate(self, monkeypatch):
         data = generate(hard_negatives_spec(seed=7, n_pos_groups=12,
