@@ -335,7 +335,7 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
     group_aucs = [[] for _ in plan.lambda_grid]
     cand_aucs = [[] for _ in plan.lambda_grid]
     chain = sorted(range(len(plan.lambda_grid)),
-                   key=lambda i: plan.lambda_grid[i])
+                   key=plan.lambda_grid.__getitem__)
     for k, valid_ids in enumerate(folds):
         train_ids = np.concatenate(folds[:k] + folds[k + 1:])
         if len(train_ids) == 0 or len(valid_ids) == 0:
@@ -354,7 +354,7 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
             model, _ = fit_algorithm(
                 algo, train_data, plan.lambda_grid[i], epsilon, delta,
                 solver_cfg, misvm_max_outer,
-                None if algo is Algorithm.MISVM else model,
+                start=None if algo is Algorithm.MISVM else model,
                 _working_set=state)
             report = evaluate_model(model, valid_data)
             group_aucs[i].append(report.group_auc)
