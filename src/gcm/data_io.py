@@ -120,6 +120,11 @@ def load_text(path) -> Dataset:
                    records["group_id"].astype(np.int64), records["is_key"])
 
 
+def _oversized(ids: np.ndarray) -> np.ndarray:
+    """Per u64 group id, whether it is 2**63 or more, past int64."""
+    return ids > np.iinfo(np.int64).max
+
+
 def _text_records(rows: list, dtype: np.dtype) -> np.ndarray:
     """CSV ``rows`` as records of the binary layout ``dtype``; ValueError if
     a row does not parse or holds an id, label or key flag out of range."""
@@ -128,7 +133,7 @@ def _text_records(rows: list, dtype: np.dtype) -> np.ndarray:
                                 DeprecationWarning)
         records = np.loadtxt(rows, dtype, delimiter=",", comments=None,
                              ndmin=1, encoding="utf-8")
-    if np.any((records["group_id"] > np.iinfo(np.int64).max)
+    if np.any(_oversized(records["group_id"])
               | (np.abs(records["label"]) != 1) | (records["is_key"] > 1)):
         raise ValueError("need group_id < 2**63, label +1 or -1, is_key 0 or 1")
     return records
@@ -201,7 +206,7 @@ def _group_ids(records: np.ndarray, path) -> np.ndarray:
     because differences of unsigned ids wrap instead of going negative.
     """
     ids = records["group_id"]
-    if ids.max() > np.iinfo(np.int64).max:
+    if _oversized(ids).any():
         raise MalformedRecordError("group_id must be below 2**63", str(path))
     ids = ids.astype(np.int64)
     if np.any(np.diff(ids) < 0):

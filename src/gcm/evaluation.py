@@ -28,7 +28,7 @@ from ._floattext import csv_lines, float_text, int_text
 from .baselines import MISVM_INNER_EPSILON, MISVM_MAX_OUTER, train_mi_svm
 from .errors import ConfigurationError, DomainError
 from .model import DEFAULT_DELTA, DEFAULT_EPSILON, Dataset, Hyperparams, LinearModel
-from .objectives import _group_argmax, _stats, _WorkingSet
+from .objectives import _group_argmax, _WorkingSet
 from .solver import SolverConfig
 from .train import train_gcm, train_per_candidate
 
@@ -347,8 +347,7 @@ def cross_validate(data: Dataset, algo: Algorithm, plan: CvPlan,
                valid_data.n_pos_groups, valid_data.n_neg_groups) == 0:
             warnings.warn(f"fold {k} has a single class; skipping")
             continue
-        state = (_WorkingSet(_stats(train_data)) if algo is Algorithm.GCM
-                 else None)
+        state = _WorkingSet() if algo is Algorithm.GCM else None
         model = None
         for i in chain:
             model, _ = fit_algorithm(

@@ -40,13 +40,15 @@ proves that the result equals the full pass bit for bit; when it cannot,
 that point gets a full pass, which rebuilds the set. Two kinds of point
 score no row at all: the zero point, where every group's first row is its
 maximum, and a power-of-two multiple ``2^-k z1`` of the latest full pass's
-point ``z1``, whose scores are exactly the recorded ones times ``2^-k``
+point ``z1``, whose scores are exactly the gathered ones times ``2^-k``
 while a guard on the exponents keeps every intermediate in the normal
 range. So a solve from zero pays one full pass for its first line search,
 not one per backtrack. The set works the same over an in-memory
 ``Dataset`` and over a stream: a streamed solve decodes its file only for
-the zero point and for full passes. The set holds at most a quarter of the
-rows; over a stream, the set and the record each hold at most
+the zero point and for full passes. One snapshot of the latest full pass
+holds what both reuse: its gathered key and maximal rows and, when it
+fits, the set. The set holds at most a quarter of the rows; over a
+stream, the snapshot's rows, set included, share one budget of
 :data:`_MAX_SET_BYTES` (32 MiB) of features, so a streamed solve's memory
 stays flat in the row count.
 :attr:`ObjectiveValue.rows` counts the rows each pass scored, not the rows
@@ -347,10 +349,11 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
 
 #: A working set holds at most this share of the rows.
 _MAX_SHARE = 0.25
-#: Bytes of features a stream's working set may hold; its full pass's
-#: record is kept only while it holds no more. A streamed solve's memory
-#: then stays flat in the row count. A ``Dataset`` holds every row anyway,
-#: so its set and record are not held to it.
+#: Bytes of features a stream's snapshot of its latest full pass may hold:
+#: its key rows, each negative group's maximal row and, when a working set
+#: fits too, the set's kept rows. A streamed solve's memory then stays flat
+#: in the row count. A ``Dataset`` holds every row anyway, so its snapshot
+#: is held only to the quarter.
 _MAX_SET_BYTES = 32 * 2 ** 20
 #: Relative slack on the step length ``t`` of the certificate.
 _STEP_SLACK = 1e-12
@@ -364,16 +367,19 @@ def _norm(v: np.ndarray) -> float:
     return math.hypot(*v.tolist())
 
 
-class _Built(NamedTuple):
-    """A working set: rows gathered from a full pass, which it holds alone."""
+class _Snapshot(NamedTuple):
+    """The latest full pass, at ``z``: the rows it gathered from each block
+    and, when one fit, the working set it built (the last four fields,
+    None otherwise). It holds no view of the rows."""
 
-    z: np.ndarray  # the point it was built at
+    z: np.ndarray
     z_norm: float
-    X_key: np.ndarray  # the pass's key-row gathers, one after another
-    X_kept: np.ndarray  # Fortran-order copy of every kept negative row
-    kept_starts: np.ndarray  # offsets of each negative group in X_kept
-    thr: np.ndarray  # per negative group: every dropped row scored below it
-    blocks: list  # per block of the pass: its key-row and group slices
+    scalable: bool  # every score was finite, so scaled points may read it
+    blocks: list  # per block of the pass, the _Gathered rows it added
+    X_key: np.ndarray | None = None  # every key row; the blocks' are slices
+    X_kept: np.ndarray | None = None  # Fortran-order kept negative rows
+    kept_starts: np.ndarray | None = None  # each negative group's offset in it
+    thr: np.ndarray | None = None  # per negative group, above its dropped rows
 
 
 class _Stats(NamedTuple):
@@ -416,27 +422,10 @@ class _Measure:
                       float(np.max(reach, initial=0.0)), self.col_min)
 
 
-def _stats(data: Dataset) -> _Stats:
-    """``data``'s :class:`_Stats`, computed at the first call and kept on it."""
-    if data._pricing_stats is None:
-        measure = _Measure(data.d)
-        for block in data.iter_group_blocks():
-            measure.add(block)
-        data._pricing_stats = measure.stats()
-    return data._pricing_stats
-
-
 def _ulp_exponent(v: np.ndarray) -> np.ndarray:
     """For nonzero finite ``v``: each entry, and every float at least as
     large in magnitude, is a multiple of 2 to this power."""
     return np.frexp(v)[1] - 53
-
-
-class _Record(NamedTuple):
-    """A full pass at ``z``: each block's :class:`_Gathered` rows."""
-
-    z: np.ndarray
-    blocks: list
 
 
 class _Pending(NamedTuple):
@@ -455,32 +444,34 @@ class _WorkingSet:
     over the same rows may share one: each solve then prices its first
     point from what the solve before left.
 
-    Three kinds of point need no full pass:
+    Each full pass replaces the :class:`_Snapshot` of the one before: the
+    old one is dropped before the pass starts. Three kinds of point need no
+    full pass:
 
     * **A zero point**, every entry of ``(w, b)`` ±0. Every score is ±0,
       so each negative group's first row is its maximum: the value needs
       only the key rows and those first rows, and scores no row.
     * **A power-of-two multiple** ``z = 2^-k z1`` (``k >= 0``) of the point
-      ``z1`` of the latest full pass whose scores were all finite. That pass
-      recorded each block's key rows, maximal rows and their scores. Every
-      product and partial sum of :func:`_fixed_order_scores` at ``z1`` is a
-      multiple of ``2^q``, where ``q`` is the least of the ulp exponent of
-      ``b1`` and, over the features with ``w1_j != 0``, the sum of the ulp
-      exponents of ``w1_j`` and of column ``j``'s smallest nonzero ``|x|``.
-      When ``q - k >= -1022`` no nonzero intermediate at ``z`` is
-      subnormal, so each rounds exactly as at ``z1`` scaled by ``2^-k``:
-      every score at ``z`` is ``2^-k`` times its score at ``z1``, the
-      maximal rows are the same, and the recorded scores are scaled. No row
-      is scored and nothing is read. The solver's first line search from
-      zero tries exactly such points.
-    * **A point certified on the working set**. After a full pass at point
-      ``z``, each negative group ``g`` keeps the rows with score
+      ``z1`` of the snapshot, when every score of its pass was finite. The
+      snapshot holds each block's key rows, maximal rows and their scores.
+      Every product and partial sum of :func:`_fixed_order_scores` at
+      ``z1`` is a multiple of ``2^q``, where ``q`` is the least of the ulp
+      exponent of ``b1`` and, over the features with ``w1_j != 0``, the sum
+      of the ulp exponents of ``w1_j`` and of column ``j``'s smallest
+      nonzero ``|x|``. When ``q - k >= -1022`` no nonzero intermediate at
+      ``z`` is subnormal, so each rounds exactly as at ``z1`` scaled by
+      ``2^-k``: every score at ``z`` is ``2^-k`` times its score at
+      ``z1``, the maximal rows are the same, and the snapshot's scores are
+      scaled. No row is scored and nothing is read. The solver's first line
+      search from zero tries exactly such points.
+    * **A point certified on the working set**. A full pass at point ``z``
+      keeps, per negative group ``g``, the rows with score
       ``s >= thr_g = max(m_g - 2 P_g theta, -1 - P_g theta)`` and its first
       maximal row: ``m_g`` is its maximum score, ``P_g`` the largest norm of
       ``(x, 1)`` over its rows and ``theta`` the distance from the point
       priced before. The working set is those rows plus every key row, and
-      it is built only when it holds at most a quarter of the rows and,
-      over a stream, at most :data:`_MAX_SET_BYTES` of features.
+      the snapshot holds it only when it holds at most a quarter of the
+      rows and, over a stream, fits the byte budget.
 
       At a later point ``z'``, at distance ``t`` from ``z``, no dropped row
       scores above ``thr_g + P_g t`` (Cauchy-Schwarz); ``eta`` bounds the
@@ -492,11 +483,11 @@ class _WorkingSet:
       certified is the working-set value returned.
 
     Each value is the full pass's, bit for bit: per block of the pass, the
-    set's key rows and each group's maximal row, taken from its own copies
-    (``X_key``, ``X_kept``) and not from the block, hold the same values in
-    the same C-order layout as the full pass's gathers, and are summed in
-    its order. Any other point is priced by a full pass, which records it
-    and rebuilds the set.
+    set's key rows and each group's maximal row, taken from the snapshot's
+    own copies (``X_key``, ``X_kept``) and not from the block, hold the
+    same values in the same C-order layout as the full pass's gathers, and
+    are summed in its order. Any other point is priced
+    by a full pass, which takes the next snapshot.
 
     :meth:`reuse` prices the points that need no pass over the source and
     leaves the others pending; :meth:`price`, which :func:`eval_grouped`
@@ -507,31 +498,29 @@ class _WorkingSet:
 
     The set works the same over a :class:`Dataset` and over a stream of
     blocks: only full passes, and the zero point, read the source. ``P_g``,
-    the column minima and the group counts (:class:`_Stats`) are ``stats``
-    when given, which a :class:`Dataset` keeps (:func:`_stats`); otherwise
-    the solve's first pass measures them as it reads, so a stream pays no
-    extra decode for them. A streamed solve's memory stays flat in the row
-    count: its set and its record each hold at most :data:`_MAX_SET_BYTES`
-    of features, and its kept rows are gathered block by block, since its
-    blocks are not held. At the end of a rebuilding pass the new record,
-    those gathers and :func:`_build`'s copy of them are all held, so the
-    solve holds at most ``3 * _MAX_SET_BYTES`` of features beyond what a
-    single streamed pass holds.
+    the column minima and the group counts (:class:`_Stats`) are measured
+    in the first pass over the source, as it reads, so a stream pays no
+    extra decode for them; a :class:`Dataset` keeps them for the next
+    solve. A streamed solve's memory stays flat in the row count: its
+    snapshot's key rows, maximal rows and kept rows share one budget of
+    :data:`_MAX_SET_BYTES` of features, and a block's kept rows go straight
+    into the set's matrix as the block passes, since the blocks are not
+    held. So the solve holds at most one budget beyond what a single
+    streamed pass holds, plus one block's screening temporaries.
     """
 
-    def __init__(self, stats: _Stats | None = None):
-        self._stats = stats
+    def __init__(self):
+        self._stats: _Stats | None = None
         self._last: np.ndarray | None = None  # the point priced before
-        self._record: _Record | None = None
-        self._built: _Built | None = None
+        self._snapshot: _Snapshot | None = None
         self._pending: _Pending | None = None
 
     def reuse(self, model: LinearModel,
               hp: Hyperparams) -> ObjectiveValue | None:
-        """The value at ``model`` when the record or the set gives it, or
-        None when the point needs a pass over the source: the zero point,
-        or a full pass. Then the next :meth:`price` at ``model`` makes that
-        pass and only that."""
+        """The value at ``model`` when the snapshot gives it, or None when
+        the point needs a pass over the source: the zero point, or a full
+        pass. Then the next :meth:`price` at ``model`` makes that pass and
+        only that."""
         if hp.lam == 0.0:
             return None
         z = np.append(model.w, model.b)
@@ -539,21 +528,20 @@ class _WorkingSet:
         self._last = z
         rows = 0
         if z.any():
-            k = self._scale(z)
+            snap, k = self._snapshot, self._scale(z)
             if k is not None:
                 sums = _GroupedSums(model.d)
-                for X_key, key_scores, X_max, max_scores in self._record.blocks:
+                for X_key, key_scores, X_max, max_scores in snap.blocks:
                     sums.add(X_key, np.ldexp(key_scores, -k),
                              X_max, np.ldexp(max_scores, -k), hp.delta)
                 return sums.value(model, hp, _regularization(model, hp), 0)
-            if self._built is not None:
+            if snap is not None and snap.X_kept is not None:
                 sums = _GroupedSums(model.d)
                 certified, rows = self._certified_pass(model, z, hp.delta,
                                                        sums)
                 if certified:
                     return sums.value(model, hp, _regularization(model, hp),
                                       rows)
-                self._built = None
         self._pending = _Pending(z, theta, rows)
         return None
 
@@ -579,7 +567,10 @@ class _WorkingSet:
         return sums.value(model, hp, reg, rows)
 
     def _blocks(self, data):
-        """``data``'s blocks; the first pass without stats measures them."""
+        """``data``'s blocks. Until the stats are known, the pass measures
+        them as it reads, and a :class:`Dataset` keeps them."""
+        if self._stats is None and isinstance(data, Dataset):
+            self._stats = data._pricing_stats
         if self._stats is not None:
             yield from data.iter_group_blocks()
             return
@@ -588,13 +579,15 @@ class _WorkingSet:
             measure.add(block)
             yield block
         self._stats = measure.stats()
+        if isinstance(data, Dataset):
+            data._pricing_stats = self._stats
 
     def _scale(self, z: np.ndarray) -> int | None:
-        """``k`` when ``z = 2^-k z1`` for the recorded point ``z1`` and every
-        score at ``z`` is exactly ``2^-k`` times its score at ``z1``."""
-        if self._record is None:
+        """``k`` when ``z = 2^-k z1`` for the snapshot's point ``z1`` and
+        every score at ``z`` is exactly ``2^-k`` times its score at ``z1``."""
+        if self._snapshot is None or not self._snapshot.scalable:
             return None
-        z1 = self._record.z
+        z1 = self._snapshot.z
         i = int(np.argmax(np.abs(z1)))
         if z[i] == 0.0:
             return None
@@ -613,63 +606,77 @@ class _WorkingSet:
 
     def _certified_pass(self, model, z, delta, sums) -> tuple[bool, int]:
         """Price the working set into ``sums``; (certified, rows scored)."""
-        built, stats = self._built, self._stats
-        t = _norm(z - built.z) * (1.0 + _STEP_SLACK)
-        scale = built.z_norm + _norm(z) + t
+        snap, stats = self._snapshot, self._stats
+        t = _norm(z - snap.z) * (1.0 + _STEP_SLACK)
+        scale = snap.z_norm + _norm(z) + t
         if not stats.reach_max * scale < _SCORE_LIMIT:
             return False, 0
         d = model.d
         # the second term covers products that underflow to subnormals
         eta = (8.0 * (d + 2) * np.finfo(np.float64).eps * scale
                + (d + 2) * 2.0 ** -1070)
-        key_scores = _fixed_order_scores(built.X_key, model.w, model.b)
-        scores = _fixed_order_scores(built.X_kept, model.w, model.b)
+        key_scores = _fixed_order_scores(snap.X_key, model.w, model.b)
+        scores = _fixed_order_scores(snap.X_kept, model.w, model.b)
         rows = key_scores.size + scores.size
-        local = _group_argmax(scores, built.kept_starts)
+        local = _group_argmax(scores, snap.kept_starts)
         top = scores[local]
-        bound = built.thr + stats.reach * (t + eta)
+        bound = snap.thr + stats.reach * (t + eta)
         if not np.all((top > bound) | ((top <= -1.0) & (bound <= -1.0))):
             return False, rows
-        for keys, groups in built.blocks:
-            sums.add(built.X_key[keys], key_scores[keys],
-                     built.X_kept[local[groups]], top[groups], delta)
+        k0 = g0 = 0
+        for g in snap.blocks:
+            k1, g1 = k0 + g.key_scores.size, g0 + g.max_scores.size
+            sums.add(g.X_key, key_scores[k0:k1], snap.X_kept[local[g0:g1]],
+                     top[g0:g1], delta)
+            k0, g0 = k1, g1
         return True, rows
 
     def _rebuilding_pass(self, model, data, delta, sums, z, theta) -> int:
-        """A full pass that records its rows at ``z`` and builds a working
-        set there, if it fits.
+        """A full pass that takes the snapshot at ``z``, with a working set
+        if one fits.
 
         No set is built at the solve's first point, where ``theta`` is
         None, nor where one row per negative group would already exceed the
-        cap. The rows a block keeps are gathered at once from a stream,
-        whose blocks are not held, and at the end from a :class:`Dataset`,
-        whose blocks are views of its rows; either way they are dropped
-        once they pass the cap. Only a pass whose scores are all finite is
-        recorded, and, over a stream, only while its record fits the byte
-        budget.
+        cap. The rows a block keeps go into the set's matrix at once from a
+        stream, whose blocks are not held, and at the end from a
+        :class:`Dataset`, whose blocks are views of its rows; the set is
+        dropped once they pass the cap. Over a stream, the snapshot's key
+        rows, maximal rows and kept rows share the byte budget: a pass whose
+        key and maximal rows alone pass it keeps no snapshot.
         """
+        self._snapshot = None  # one snapshot at a time
         views = isinstance(data, Dataset)  # its blocks are views of its rows
         # in rows of features
         budget = math.inf if views else _MAX_SET_BYTES // (8 * data.d)
-        seen = None  # per block, what _build needs, while the set fits
-        if theta is not None:
-            stats = self._stats
-            cap = min(_MAX_SHARE * stats.n_rows, budget) - stats.n_pos_groups
-            if stats.reach.size <= cap:
-                seen = []
-        record = []
-        rows = recorded = kept = g0 = 0
-        self._record = None  # one record at a time
+        stats, keeping = self._stats, False
+        if theta is not None and stats is not None:
+            n_pos, n_neg = stats.n_pos_groups, stats.reach.size
+            cap = math.floor(min(_MAX_SHARE * stats.n_rows - n_pos,
+                                 budget - n_pos - n_neg))  # rows it may keep
+            keeping = n_neg <= cap
+        X_key = None  # the key rows in one matrix, for the set to score
+        if keeping:
+            X_key = np.empty((n_pos, data.d))
+            # a stream's kept rows go straight in; a Dataset's at the end
+            X_kept = None if views else np.empty((cap, data.d), order="F")
+            gathers, counts, thrs = [], [], []
+        blocks, scalable = [], True
+        rows = held = kept = g0 = k0 = 0
         for block, scores, amax, gathered in _full_pass(
                 model, self._blocks(data), delta, sums):
             rows += scores.size
-            recorded += gathered.key_scores.size + amax.size
-            if record is not None and (recorded > budget
-                                       or not np.isfinite(scores).all()):
-                record = None  # too large, or scaling it is not proven exact
-            elif record is not None:
-                record.append(gathered)
-            if seen is not None:
+            held += gathered.key_scores.size + amax.size
+            if X_key is not None:  # C order, as gathered: the same sums
+                k1 = k0 + gathered.key_scores.size
+                X_key[k0:k1] = gathered.X_key
+                gathered = gathered._replace(X_key=X_key[k0:k1])
+                k0 = k1
+            if held > budget:
+                blocks = None  # its key and maximal rows pass the budget
+            elif blocks is not None:
+                blocks.append(gathered)
+            scalable = scalable and bool(np.isfinite(scores).all())
+            if keeping:
                 p = stats.reach[g0:g0 + amax.size]
                 thr = np.maximum(scores[amax] - 2.0 * p * theta,
                                  -1.0 - p * theta)
@@ -678,21 +685,34 @@ class _WorkingSet:
                 group_thr[neg_groups] = thr
                 keep = scores >= np.repeat(group_thr, np.diff(block.starts))
                 keep[amax] = True
-                kept += int(np.count_nonzero(keep))
-                if kept > cap:
-                    seen = None
+                if kept + int(np.count_nonzero(keep)) > cap:
+                    keeping = False
+                    X_kept = gathers = counts = thrs = None
                 else:
                     kept_rows = np.flatnonzero(keep)
-                    counts = np.diff(np.searchsorted(kept_rows, block.starts))
-                    gather = ((block.X, kept_rows) if views
-                              else (_take_rows(block.X, kept_rows), None))
-                    seen.append((*gather, counts[neg_groups], thr,
-                                 gathered.X_key))
+                    if views:
+                        gathers.append((block.X, kept_rows, kept))
+                    else:
+                        _take_rows(block.X, kept_rows,
+                                   X_kept[kept:kept + kept_rows.size])
+                    kept += kept_rows.size
+                    counts.append(np.diff(np.searchsorted(
+                        kept_rows, block.starts))[neg_groups])
+                    thrs.append(thr)
             g0 += amax.size
-        if record is not None:
-            self._record = _Record(z, record)
-        if seen and kept:  # no kept row: no negative group, nothing to screen
-            self._built = _build(seen, z)
+        if blocks is None:
+            return rows
+        if not (keeping and kept):  # no kept row: nothing to screen
+            self._snapshot = _Snapshot(z, _norm(z), scalable, blocks)
+            return rows
+        if views:
+            X_kept = np.empty((kept, data.d), order="F")
+            for X, kept_rows, lo in gathers:
+                _take_rows(X, kept_rows, X_kept[lo:lo + kept_rows.size])
+        self._snapshot = _Snapshot(
+            z, _norm(z), scalable, blocks, X_key, X_kept[:kept],
+            np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+            np.concatenate(thrs))
         return rows
 
 
@@ -707,45 +727,8 @@ def _zero_pass(model: LinearModel, blocks, delta: float, sums: _GroupedSums):
                  X_max, _fixed_order_scores(X_max, model.w, model.b), delta)
 
 
-def _take_rows(X: np.ndarray, rows: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Rows ``rows`` of the Fortran-order ``X``, gathered a column at a
-    time into ``out``, a new Fortran-order matrix when None."""
-    if out is None:
-        out = np.empty((rows.size, X.shape[1]), order="F")
+def _take_rows(X: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """Gather rows ``rows`` of the Fortran-order ``X`` into ``out``, a
+    column at a time."""
     for j in range(X.shape[1]):
         np.take(X[:, j], rows, out=out[:, j])
-    return out
-
-
-def _build(seen, z: np.ndarray) -> _Built:
-    """Gather the rows each block of a full pass kept, with its key rows.
-
-    ``seen`` holds, per block, its kept rows (a matrix and their indices
-    in it, or a gathered matrix and None), its kept-row count per negative
-    group, its thresholds and its gathered key rows. Only gathers are kept,
-    so the set holds no view of the blocks.
-    """
-    blocks = []
-    k0 = g0 = 0
-    for *_, thr, X_key in seen:
-        k1, g1 = k0 + X_key.shape[0], g0 + thr.size
-        blocks.append((slice(k0, k1), slice(g0, g1)))
-        k0, g0 = k1, g1
-    sizes = [X.shape[0] if rows is None else rows.size for X, rows, *_ in seen]
-    X_kept = np.empty((sum(sizes), z.size - 1), order="F")
-    lo = 0
-    for (X, rows, *_), n in zip(seen, sizes):
-        if rows is None:
-            X_kept[lo:lo + n] = X
-        else:
-            _take_rows(X, rows, X_kept[lo:lo + n])
-        lo += n
-    counts = np.concatenate([e[2] for e in seen])
-    return _Built(
-        z=z, z_norm=_norm(z),
-        X_key=np.concatenate([e[4] for e in seen]),
-        X_kept=X_kept,
-        kept_starts=np.concatenate(([0], np.cumsum(counts))),
-        thr=np.concatenate([e[3] for e in seen]),
-        blocks=blocks)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .model import Dataset, Hyperparams, LinearModel
-from .objectives import _stats, _WorkingSet, eval_grouped, eval_per_candidate
+from .objectives import _WorkingSet, eval_grouped, eval_per_candidate
 from .solver import SolverConfig, SolveTrace, minimize
 
 
@@ -73,10 +73,13 @@ def train_gcm(data: Dataset, hp: Hyperparams,
     line search, which are power-of-two multiples of the first step, from
     gathered rows without scoring any (see
     :class:`~gcm.objectives._WorkingSet`). Only full passes, and the zero
-    start, read a stream. A stream's set and record each hold at most
+    start, read a stream. Over a stream, the snapshot of the latest full
+    pass, its gathered rows and set together, holds at most
     ``_MAX_SET_BYTES`` (32 MiB) of features, so a streamed solve keeps flat
-    memory. The model and trace, ``rows_priced`` included, are the same
-    for both sources, bit for bit.
+    memory: 64 MB for the pass plus one budget and one block's screening
+    temporaries. The model and trace are the
+    same for both sources, bit for bit, and so is ``rows_priced`` wherever
+    that budget does not bind.
 
     Over a :class:`Dataset` every point is one
     :func:`~gcm.objectives.eval_grouped` call. Over a stream the set prices
@@ -87,15 +90,12 @@ def train_gcm(data: Dataset, hp: Hyperparams,
     ``_working_set`` carries the set of an earlier solve over the same
     ``data`` into this one, as cross-validation does along a fold's chain
     of trade-offs, so a warm start can be certified on the set built near
-    the previous optimum. The set, its record and its certificate depend
-    only on the points and the rows, never on ``hp``, so the model and
-    trace equal those of a fresh set bit for bit; only ``rows_priced``
-    differs.
+    the previous optimum. The snapshot and its certificate depend only on
+    the points and the rows, never on ``hp``, so the model and trace equal
+    those of a fresh set bit for bit; only ``rows_priced`` differs.
     """
     x0 = _start_point(start, data.d)  # refused before the set measures rows
-    state = _working_set
-    if state is None:
-        state = _WorkingSet(_stats(data) if isinstance(data, Dataset) else None)
+    state = _WorkingSet() if _working_set is None else _working_set
     if isinstance(data, Dataset):
         return _train(lambda *args: eval_grouped(*args, _working_set=state),
                       data, hp, cfg, x0)

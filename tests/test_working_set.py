@@ -42,7 +42,7 @@ from gcm import (
 )
 from gcm.evaluation import CvPlan
 from gcm.model import DEFAULT_BLOCK_ROWS
-from gcm.objectives import _MAX_SET_BYTES, _MAX_SHARE, _WorkingSet, _stats
+from gcm.objectives import _MAX_SET_BYTES, _MAX_SHARE, _WorkingSet
 from gcm.solver import minimize
 from oracles import naive_grouped
 
@@ -217,6 +217,29 @@ class TestExactness:
         assert all(r < data.n_rows / 4 for r in rows[2:-1])
         assert rows[-1] > data.n_rows  # a long step fails the certificate
 
+    def test_set_shares_the_byte_budget_with_the_gathered_rows(
+            self, monkeypatch):
+        """Over a stream, a set fits only when the key rows, the maximal
+        rows and the kept rows together fit the byte budget: at one row
+        less, the point after the set's build gets a full pass."""
+        rng = np.random.default_rng(3)
+        data = random_dataset(rng, 3, 12, 3, duplicates=False)
+        start, direction = rng.normal(size=4), rng.normal(size=4)
+        points = [start + s * direction for s in (0.0, 1e-3, 1.2e-3)]
+        state = _WorkingSet()
+        for point in points[:2]:
+            eval_grouped(as_model(point), data, Hyperparams(0.5),
+                         _working_set=state)
+        kept = state._snapshot.X_kept.shape[0]
+        with binary_copy(data) as path:
+            for budget, on_the_set in ((data.n_groups + kept, True),
+                                       (data.n_groups + kept - 1, False)):
+                monkeypatch.setattr(gcm.objectives, "_MAX_SET_BYTES",
+                                    8 * data.d * budget)
+                rows = price_along(data, Hyperparams(0.5), points,
+                                   BinaryDatasetReader(path))
+                assert (rows[2] < data.n_rows) == on_the_set
+
     def test_set_and_record_hold_no_view_of_the_rows(self):
         rng = np.random.default_rng(3)
         data = random_dataset(rng, 3, 12, 3, duplicates=False)
@@ -227,9 +250,10 @@ class TestExactness:
                                  Hyperparams(0.5), _working_set=state).rows
                     for s in (0.0, 1e-3, 1.2e-3)]
         assert rows[-1] < data.n_rows  # priced on the set
-        assert len(state._built.blocks) > 1 and len(state._record.blocks) > 1
-        held = [*arrays_in(state._built), *arrays_in(state._record)]
-        assert not any(np.shares_memory(a, data.X) for a in held)
+        snapshot = state._snapshot
+        assert snapshot.X_kept is not None and len(snapshot.blocks) > 1
+        assert not any(np.shares_memory(a, data.X)
+                       for a in arrays_in(snapshot))
 
     def test_tied_maxima_resolve_to_the_first_row(self):
         # each negative group holds its maximal row at the start twice,
@@ -346,9 +370,10 @@ class TestZeroAndScaledPoints:
         assert rows == [0, data.n_rows] + [0] * 40
 
     def test_record_over_the_byte_budget_is_not_kept(self, monkeypatch):
-        """A record holds a row per group. When a stream's record passes the
-        byte budget, nothing is recorded and each backtrack gets a full
-        pass. A ``Dataset`` holds every row anyway: its record is kept."""
+        """A snapshot holds a row per group. When a stream's key and maximal
+        rows pass the byte budget, no snapshot is kept and each backtrack
+        gets a full pass. A ``Dataset`` holds every row anyway: its
+        snapshot is kept."""
         rng = np.random.default_rng(5)
         data = random_dataset(rng, 3, 12, 3, duplicates=True)
         hp = Hyperparams(0.5)
@@ -360,6 +385,48 @@ class TestZeroAndScaledPoints:
             rows = price_along(data, hp, points, BinaryDatasetReader(path))
         assert rows == [0] + [data.n_rows] * 41
         assert price_along(data, hp, points) == [0, data.n_rows] + [0] * 40
+
+    def test_record_is_kept_where_the_set_passes_the_shared_budget(
+            self, tmp_path, monkeypatch):
+        """Over a stream, a snapshot's key rows, maximal rows and kept rows
+        share one byte budget. Where the first two fit and a set would not,
+        the snapshot keeps them without a set: the backtracks of the first
+        line search decode nothing, and the solve equals the in-memory one,
+        which builds sets."""
+        data = generate(GeneratorSpec(seed=3, n_pos_groups=8, n_neg_groups=40))
+        path = tmp_path / "d.bin"
+        save_binary(data, path)
+        hp, cfg = Hyperparams(0.5, delta=0.5), SolverConfig(max_iterations=30)
+        # one row per group fits; a set keeps one row per negative group more
+        monkeypatch.setattr(gcm.objectives, "_MAX_SET_BYTES",
+                            8 * data.d * data.n_groups)
+        decodes, snapshots = [], []
+        read = BinaryDatasetReader.iter_group_blocks
+        rebuild = _WorkingSet._rebuilding_pass
+
+        def decoding(reader, *args, **kwargs):
+            decodes.append(reader)
+            return read(reader, *args, **kwargs)
+
+        def snapshot(state, *args):
+            rows = rebuild(state, *args)
+            snapshots.append(state._snapshot)
+            return rows
+
+        monkeypatch.setattr(BinaryDatasetReader, "iter_group_blocks", decoding)
+        monkeypatch.setattr(_WorkingSet, "_rebuilding_pass", snapshot)
+        p = -eval_grouped(as_model(np.zeros(data.d + 1)), data, hp).gradient()
+        rows = price_along(data, hp, first_line_search(p),
+                           BinaryDatasetReader(path))
+        assert rows == [0, data.n_rows] + [0] * 40
+        assert len(decodes) == 2  # the zero point and the pass at p
+        del snapshots[:]
+        streamed = train_gcm(BinaryDatasetReader(path), hp, cfg)
+        assert snapshots and all(s.X_kept is None for s in snapshots)
+        del snapshots[:]
+        in_memory = train_gcm(data, hp, cfg)
+        assert any(s.X_kept is not None for s in snapshots)
+        assert_same_solve(streamed, in_memory)
 
     def test_guard_refuses_scores_that_turn_subnormal(self):
         """At ``z1 = (1, 0, 0)`` the negative group's scores are the least
@@ -388,13 +455,34 @@ def test_first_decode_measures_what_a_dataset_keeps(tmp_path):
     with block_budget(16):
         eval_grouped(as_model(np.zeros(4)), reader, Hyperparams(0.5),
                      _working_set=state)
-    got, want = state._stats, _stats(data)
+    eval_grouped(as_model(np.zeros(4)), data, Hyperparams(0.5),
+                 _working_set=_WorkingSet())
+    got, want = state._stats, data._pricing_stats
     assert (got.n_rows, got.n_pos_groups, got.reach.size) == (
         data.n_rows, data.n_pos_groups, data.n_neg_groups)
     assert got.reach_max == want.reach_max
     assert got.reach.tobytes() == want.reach.tobytes()
     assert got.col_min.tobytes() == want.col_min.tobytes()
     assert not hasattr(reader, "_pricing_stats")
+
+
+def test_a_dataset_keeps_its_stats_for_the_next_solve(monkeypatch):
+    """A fresh set over a ``Dataset`` reads the stats that an earlier
+    solve measured instead of measuring them again."""
+    data = random_dataset(np.random.default_rng(7), 3, 12, 3, duplicates=False)
+    measured = []
+    add = gcm.objectives._Measure.add
+
+    def counted(measure, block):
+        measured.append(block)
+        return add(measure, block)
+
+    monkeypatch.setattr(gcm.objectives._Measure, "add", counted)
+    cfg = SolverConfig(max_iterations=5)
+    first = train_gcm(data, Hyperparams(0.5), cfg)
+    assert len(measured) == 1
+    assert_same_solve(train_gcm(data, Hyperparams(0.5), cfg), first)
+    assert len(measured) == 1
 
 
 def plain_solve(data, hp, cfg, start=None, _working_set=None):
@@ -511,7 +599,7 @@ class TestSolves:
         data = generate(hard_negatives_spec(seed=7, n_pos_groups=12,
                                             n_neg_groups=60))
         cfg = SolverConfig(max_iterations=100)
-        shared = _WorkingSet(_stats(data))
+        shared = _WorkingSet()
         start, carried, fresh = None, 0, 0
         for lam in (0.2, 0.4, 0.6, 0.8):
             hp = Hyperparams(lam, delta=delta)
@@ -522,6 +610,19 @@ class TestSolves:
             fresh += want[1].rows_priced
             start = got[0]
         assert carried < fresh
+
+    def test_cross_validate_on_a_benchmark_seed(self, monkeypatch):
+        """The cross-validation of the benchmark's cv-sweep draw, with
+        working sets shared along each fold's chain, equals the one whose
+        every fit prices each point with a plain full pass."""
+        data = generate(hard_negatives_spec(seed=2004, n_pos_groups=40,
+                                            n_neg_groups=400))
+        plan = CvPlan(folds=5, lambda_grid=(0.2, 0.4, 0.6, 0.8), seed=2004)
+        cfg = SolverConfig(max_iterations=400)
+        screened = cross_validate(data, Algorithm.GCM, plan, 1.0, 0.5, cfg)
+        monkeypatch.setattr(gcm.evaluation, "train_gcm", plain_solve)
+        assert cross_validate(data, Algorithm.GCM, plan, 1.0, 0.5,
+                              cfg) == screened
 
     def test_cross_validate(self, monkeypatch):
         data = generate(hard_negatives_spec(seed=7, n_pos_groups=12,
@@ -538,12 +639,15 @@ class TestSolves:
 
 class TestStreamedMemory:
     """A streamed solve keeps flat memory: one read chunk and two blocks, as
-    a single streamed pass does (criterion 9), plus at most three times the
-    set's byte budget (the new record, the pass's gathers and the set copied
-    from them), whatever the row count."""
+    a single streamed pass does (criterion 9), plus one byte budget for the
+    snapshot of its latest full pass and one block's screening temporaries,
+    whatever the row count."""
 
     #: Criterion 9's ceiling for one streamed pass.
     CEILING = 64 * 1024 * 1024
+    #: One block's screening temporaries: a threshold per row, the kept-row
+    #: indices and the masks, under three float64 values a row.
+    SCREENING = 3 * 8 * DEFAULT_BLOCK_ROWS
 
     @staticmethod
     def peak(price, *args) -> int:
@@ -569,7 +673,8 @@ class TestStreamedMemory:
                 seed=11, n_pos_groups=20, n_neg_groups=n_neg)), path)
             paths.append(path)
         for path in paths:
-            assert self.solve_peak(path) < self.CEILING + 3 * _MAX_SET_BYTES
+            assert (self.solve_peak(path)
+                    < self.CEILING + _MAX_SET_BYTES + self.SCREENING)
         # Under the quarter cap the set may grow with the rows. A budget that
         # binds at both sizes leaves nothing to grow, where holding the
         # decoded blocks would add 23 MB at the larger size.
@@ -578,11 +683,12 @@ class TestStreamedMemory:
         small, large = (self.solve_peak(path) for path in paths)
         assert large < small + budget
 
-    def test_set_at_the_byte_cap_holds_three_budgets_at_most(self, tmp_path,
-                                                              monkeypatch):
-        """Where the byte budget, not the quarter, caps the set, the set
-        reaches it and the solve's peak stays within three budgets of a
-        single streamed pass's."""
+    def test_snapshot_at_the_byte_cap_holds_one_budget_at_most(
+            self, tmp_path, monkeypatch):
+        """Where the byte budget, not the quarter, caps the set, the
+        snapshot's rows fill more than half of it and never pass it, and
+        the solve's peak stays within one budget and one block's screening
+        of a single streamed pass's."""
         data = generate(hard_negatives_spec(seed=11, n_pos_groups=20,
                                             n_neg_groups=1000))
         path = tmp_path / "d.bin"
@@ -590,17 +696,25 @@ class TestStreamedMemory:
         budget = 2 * 2 ** 20
         assert 8 * data.d * _MAX_SHARE * data.n_rows > 2 * budget
         monkeypatch.setattr(gcm.objectives, "_MAX_SET_BYTES", budget)
-        sizes = []
-        build = gcm.objectives._build
+        held, used = [], []  # bytes of features: allocated, and filled
+        rebuild = _WorkingSet._rebuilding_pass
 
-        def measured(seen, z):
-            built = build(seen, z)
-            sizes.append(built.X_key.nbytes + built.X_kept.nbytes)
-            return built
+        def measured(state, *args):
+            rows = rebuild(state, *args)
+            snapshot = state._snapshot
+            gathered = sum(g.X_key.nbytes + g.X_max.nbytes
+                           for g in snapshot.blocks)
+            kept = snapshot.X_kept
+            if kept is None:
+                kept = np.empty((0, 1))
+            held.append(gathered + (kept if kept.base is None
+                                    else kept.base).nbytes)
+            used.append(gathered + kept.nbytes)
+            return rows
 
-        monkeypatch.setattr(gcm.objectives, "_build", measured)
+        monkeypatch.setattr(_WorkingSet, "_rebuilding_pass", measured)
         solve = self.solve_peak(path)
-        assert budget / 2 < max(sizes) <= budget
+        assert budget / 2 < max(used) <= max(held) <= budget
         one_pass = self.peak(eval_grouped, as_model(np.ones(data.d + 1)),
                              BinaryDatasetReader(path), Hyperparams(0.5))
-        assert solve < one_pass + 3 * budget
+        assert solve < one_pass + budget + self.SCREENING
