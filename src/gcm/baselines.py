@@ -56,10 +56,15 @@ def train_mi_svm(data: Dataset, hp: Hyperparams,
     when the selection reaches a fixed point or after ``max_outer`` inner
     solves. Key flags in ``data`` are ignored.
 
+    ``hp.lam`` must lie in (0, 1): at 0 every inner solve returns the zero
+    model, and at 1 the inner problems are unregularized.
+
     Returns ``(model, selected_rows, outer, converged)``: the selected row
     per positive group in group order (int64), the number of inner solves,
     and whether the selection reached its fixed point.
     """
+    if not 0.0 < hp.lam < 1.0:
+        raise DomainError(f"MI-SVM needs lam in (0, 1), got {hp.lam}")
     if max_outer < 1:
         raise DomainError("max_outer must be >= 1")
     pos = np.flatnonzero(data.group_labels == 1)

@@ -260,8 +260,6 @@ def fit_algorithm(algo: Algorithm, data: Dataset, lam: float,
         if start is not None:
             raise ConfigurationError(
                 "MI-SVM starts from its group means and takes no start")
-        if not 0.0 < lam < 1.0:
-            raise DomainError(f"MI-SVM needs lam in (0, 1), got {lam}")
         model, selected, outer, converged = train_mi_svm(
             data, hp, solver_cfg, misvm_max_outer)
         pos_ids = data.group_ids[data.group_starts[:-1]][data.group_labels == 1]

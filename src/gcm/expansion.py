@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NumericalError
-from .model import Dataset, _reject_nonfinite
+from .model import Dataset, _refuse_unrepresentable, _reject_nonfinite
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ def expand_matrix(X: np.ndarray, spec: ExpansionSpec) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
     out_dim = expanded_dimension(d, spec.degree)
+    _refuse_unrepresentable((X.shape[0], out_dim))
     cols = np.empty((X.shape[0], out_dim), dtype=np.float64, order="F")
     with np.errstate(over="ignore"):
         for i, exps in enumerate(monomial_exponents(d, spec.degree)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import Dataset
+from .model import Dataset, _refuse_unrepresentable
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,8 @@ def generate(spec: GeneratorSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     n_pos, n_neg = spec.n_pos_groups, spec.n_neg_groups
     n_groups = n_pos + n_neg
+    # the largest draw the spec allows: every group at its largest size
+    _refuse_unrepresentable((n_groups * spec.group_size_max, spec.d))
     sizes = rng.integers(spec.group_size_min, spec.group_size_max + 1,
                          size=n_groups)
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -13,6 +13,7 @@ types are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -106,6 +107,16 @@ class GroupBlock(NamedTuple):
     is_key: np.ndarray
     group_ids: np.ndarray
     starts: np.ndarray
+
+
+def _refuse_unrepresentable(shape: tuple[int, ...]):
+    """Raise :class:`MemoryError`, as numpy does for an array it cannot
+    allocate, when a float64 array of ``shape`` is larger than numpy can
+    represent at all; numpy itself raises a ``ValueError`` there."""
+    limit = int(np.iinfo(np.intp).max)
+    if max(shape) > limit or math.prod(shape) * 8 > limit:
+        raise MemoryError(f"Unable to allocate an array with shape {shape}: "
+                          "it is larger than numpy can represent")
 
 
 def _group_location(group_id, path) -> str:

@@ -14,12 +14,17 @@ Two trainable objectives share the same three-term shape::
   each negative group contributes the maximum loss over its rows, and
   ``n+``/``n-`` count groups.
 
-Grouped evaluation consumes group-aligned blocks (``iter_group_blocks``), so
-it runs identically over an in-memory :class:`~gcm.model.Dataset` and a
-streaming binary reader. Scores are accumulated feature by feature over the
-column-major feature blocks and group contributions are reduced in fixed-size
-chunks, which makes the result bit-identical regardless of how the blocks
-partition the rows.
+Grouped evaluation consumes group-aligned blocks (``iter_group_blocks``) and
+adds each block's losses and gradient terms to the pass's sums in row order.
+A row's score is accumulated feature by feature, so it does not depend on
+the block that holds the row; the sums do. Hence one exactness contract, for
+values and gradients alike: every pricing route (a plain pass, the zero
+point, a scaled point, a certified working set) over every source that cuts
+the same blocks gives the same bits. Every source in the package cuts them
+alike (:func:`~gcm.model.partition_groups` at
+:data:`~gcm.model.DEFAULT_BLOCK_ROWS`), so an in-memory
+:class:`~gcm.model.Dataset` and a streaming binary reader at any read chunk
+agree bit for bit; blocks cut at another size agree only to rounding.
 
 The grouped objective applies the hinge and its derivative once per group,
 not once per row: to the key row's margin for a positive group, and to
@@ -92,40 +97,6 @@ class ObjectiveValue:
         if self._gradient is None:
             raise ValueError("this ObjectiveValue was built without a gradient")
         return self._gradient()
-
-
-class _ChunkedSum:
-    """Sums a sequence in fixed 4096-wide chunks.
-
-    The reduction tree depends only on the order of the incoming values,
-    never on how they were batched, so streaming and in-memory callers get
-    bit-identical totals.
-    """
-
-    CHUNK = 4096
-
-    def __init__(self):
-        self._buf = np.empty(self.CHUNK, dtype=np.float64)
-        self._fill = 0
-        self._partial = 0.0
-
-    def add(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        i, n = 0, values.size
-        while i < n:
-            take = min(self.CHUNK - self._fill, n - i)
-            self._buf[self._fill:self._fill + take] = values[i:i + take]
-            self._fill += take
-            i += take
-            if self._fill == self.CHUNK:
-                self._partial += float(np.sum(self._buf))
-                self._fill = 0
-
-    def total(self) -> float:
-        t = self._partial
-        if self._fill:
-            t += float(np.sum(self._buf[:self._fill]))
-        return t
 
 
 def _fixed_order_scores(X: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -255,12 +226,13 @@ class _GroupedSums:
 
     :meth:`add` takes a block's key rows and the maximal row of each of its
     negative groups, each as the matrix gathered from the block, with their
-    scores. Equal inputs in equal order give bit-identical sums, however
-    many rows were scored to find them.
+    scores, and adds the block's loss, weight and bias sums to the pass's.
+    So the sums follow the block partition: equal blocks in equal order give
+    bit-identical sums, however many rows were scored to find them.
     """
 
     def __init__(self, d: int):
-        self.pos_acc, self.neg_acc = _ChunkedSum(), _ChunkedSum()
+        self.pos_loss = self.neg_loss = 0.0
         self.pos_w, self.neg_w = np.zeros(d), np.zeros(d)
         self.pos_b = self.neg_b = 0.0
         self.n_pos = self.n_neg = 0
@@ -270,8 +242,8 @@ class _GroupedSums:
         losses = smoothed_hinge(margins, delta)
         lprime = smoothed_hinge_prime(margins, delta)
         k = key_scores.size
-        self.pos_acc.add(losses[:k])
-        self.neg_acc.add(losses[k:])
+        self.pos_loss += float(np.sum(losses[:k]))
+        self.neg_loss += float(np.sum(losses[k:]))
         self.n_pos += k  # one key row per positive group
         self.n_neg += max_scores.size
         # an empty gather adds +0.0, which leaves the sums' bits unchanged
@@ -282,8 +254,8 @@ class _GroupedSums:
 
     def value(self, model: LinearModel, hp: Hyperparams, reg: float,
               rows: int) -> ObjectiveValue:
-        pos, neg = _class_terms(hp.lam, self.pos_acc.total(), self.n_pos,
-                                self.neg_acc.total(), self.n_neg, "group")
+        pos, neg = _class_terms(hp.lam, self.pos_loss, self.n_pos,
+                                self.neg_loss, self.n_neg, "group")
         a, c = hp.lam / self.n_pos, hp.lam / self.n_neg
 
         def gradient() -> np.ndarray:
@@ -326,14 +298,16 @@ def eval_grouped(model: LinearModel, data, hp: Hyperparams,
     """Evaluate the grouped objective and, in the same pass, its subgradient.
 
     ``data`` may be an in-memory :class:`Dataset` or any source of
-    group-aligned blocks (e.g. a streaming binary reader, read once); both
-    give bit-identical results. Only key rows and each negative group's
-    maximal-score row carry subgradient coefficients; a tie resolves to the
-    group's first such row, one valid subgradient chosen deterministically.
+    group-aligned blocks (e.g. a streaming binary reader, read once); two
+    sources that cut the same blocks give bit-identical values and
+    gradients (see the module docstring). Only key rows and each negative
+    group's maximal-score row carry subgradient coefficients; a tie
+    resolves to the group's first such row, one valid subgradient chosen
+    deterministically.
 
     ``_working_set`` is the state of one solve, or of a chain of solves,
-    over ``data`` (see :class:`_WorkingSet`); the value is bit-identical
-    with or without it.
+    over ``data`` (see :class:`_WorkingSet`); the value and gradient are
+    bit-identical with or without it.
     """
     _check_dims(model, data.d)
     if hp.lam == 0.0:

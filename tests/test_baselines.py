@@ -5,12 +5,14 @@ from gcm import (
     ConfigurationError,
     Dataset,
     DomainError,
+    GeneratorSpec,
     Hyperparams,
     LinearModel,
     SolverConfig,
     eval_grouped,
     eval_per_candidate,
     evaluate_model,
+    generate,
     train_gcm,
     train_mi_svm,
     train_per_candidate,
@@ -81,6 +83,14 @@ class TestMiSvmConfig:
             train_mi_svm(ds, Hyperparams(lam=0.5), max_outer=0)
         with pytest.raises(DomainError):
             train_mi_svm(ds, Hyperparams(lam=0.5, delta=-1.0))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_lambda_at_a_bound_is_refused(self, lam):
+        # at 0 the alternation would return the zero model as converged
+        ds = generate(GeneratorSpec(seed=5, n_pos_groups=8, n_neg_groups=24,
+                                    group_size_min=5, group_size_max=9))
+        with pytest.raises(DomainError, match=r"MI-SVM needs lam in \(0, 1\)"):
+            train_mi_svm(ds, Hyperparams(lam, MISVM_INNER_EPSILON, 0.0))
 
 
 class TestMiSvm:

@@ -101,6 +101,24 @@ class TestSynth:
                    *preset_flags, *flags) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--pos-groups", "10000000000000000000", "--neg-groups", "1"),
+        ("--pos-groups", "2", "--neg-groups", "2",
+         "--d", "10000000000000000000"),
+        ("--pos-groups", "2", "--neg-groups", "2", "--group-size-min", "1",
+         "--group-size-max", "10000000000000000000"),
+        ("--pos-groups", "1", "--neg-groups", "0",
+         "--group-size-min", "1000000000000000000",
+         "--group-size-max", "1000000000000000000"),
+    ])
+    def test_unrepresentable_size_is_a_data_error(self, flags, tmp_path,
+                                                  capsys):
+        # numpy cannot represent the draw's shape at all: refused as an
+        # array too large to allocate, before any file is written
+        assert run("synth", "--out", str(tmp_path / "big.bin"), *flags) == 3
+        assert "data error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     @pytest.mark.parametrize("algo", ["gcm", "gcm-nogroup", "svm", "misvm"])
@@ -276,6 +294,18 @@ class TestTrain:
         assert run("train", "--data", str(path), "--model-out",
                    str(tmp_path / "m.json"), "--algo", "gcm", "--lambda",
                    "0.5", "--expand-degree", "40") == 3
+        assert "data error:" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_unrepresentable_expansion_is_a_data_error(self, easy_files,
+                                                       tmp_path, capsys):
+        # about 1.7e17 monomials of 3 features per row: numpy cannot
+        # represent an array of that shape at all
+        train_path, _ = easy_files
+        before = set(tmp_path.iterdir())
+        assert run("train", "--data", str(train_path), "--model-out",
+                   str(tmp_path / "m.json"), "--algo", "gcm", "--lambda",
+                   "0.5", "--expand-degree", "1000000") == 3
         assert "data error:" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before
 

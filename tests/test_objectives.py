@@ -201,19 +201,6 @@ class TestEvalGrouped:
         assert eval_grouped(model, keyed, hp).total == pytest.approx(
             eval_grouped(model, solo, hp).total, rel=1e-12)
 
-    def test_block_size_invariance(self, rng):
-        ds = build_grouped_dataset(rng, 4, 6, 2, 6, 3)
-        model = LinearModel(rng.normal(size=3), -0.2)
-        hp = Hyperparams(lam=0.5)
-        reference = eval_grouped(model, ds, hp).total
-
-        class Resized:
-            d = ds.d
-            def iter_group_blocks(self, max_rows=None):
-                return ds.iter_group_blocks(max_rows=7)
-
-        assert eval_grouped(model, Resized(), hp).total == reference
-
     def test_max_at_least_mean_property(self, rng):
         for seed in range(5):
             r = np.random.default_rng(seed)

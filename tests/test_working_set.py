@@ -539,6 +539,23 @@ class TestStreamedSolves:
         assert 0 < len(passes) < n_calls
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_many_blocks_equal_the_in_memory_solve(self, delta, tmp_path):
+        """Cut into 500-row blocks, every pass sums its losses and gradient
+        terms block by block; a stream that cuts the same blocks gives the
+        solve of the ``Dataset`` bit for bit."""
+        data = generate(GeneratorSpec(seed=3, n_pos_groups=8, n_neg_groups=40))
+        path = tmp_path / "d.bin"
+        save_binary(data, path)
+        hp, cfg = Hyperparams(0.5, delta=delta), SolverConfig(max_iterations=30)
+        with block_budget(500):
+            assert len(list(data.iter_group_blocks())) == 24
+            in_memory = train_gcm(data, hp, cfg)
+            streamed = train_gcm(BinaryDatasetReader(path, read_chunk_rows=64),
+                                 hp, cfg)
+        assert_same_solve(streamed, in_memory)
+        assert streamed[1].rows_priced == in_memory[1].rows_priced
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_warm_start_equals_the_in_memory_solve(self, delta, tmp_path):
         data = generate(GeneratorSpec(seed=3, n_pos_groups=8, n_neg_groups=40))
         path = tmp_path / "d.bin"
