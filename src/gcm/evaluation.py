@@ -3,8 +3,14 @@
 A group's score is the maximum raw classifier score over its candidates; the
 group is the unit of final classification. ROC curves sweep the distinct
 scores in descending order with all tied rows crossing the threshold
-together, and AUC is the trapezoid area, so it equals the concordant-pair
-count with ties worth one half.
+together, and AUC is the curve's trapezoid area, so it equals the
+concordant-pair count with ties worth one half.
+
+The AUC is counted without the curve, from two value sorts: each class's
+non-NaN scores are sorted, and each positive counts the negatives below it
+and, at half weight, those tied with it. :func:`evaluate_model` computes
+only the AUCs; an :class:`EvalReport` builds a level's curve the first time
+it is read, which only the report writer does.
 
 A curve is built from value sorts, never from an index sort: the runs of
 equal values in the sorted scores give one point per distinct score and the
@@ -13,14 +19,16 @@ values, give the positives per run. Equality decides the runs, so tied
 ``inf`` or ``-inf`` scores form one point like any other tie. A tied block
 of ``0.0`` and ``-0.0`` takes its threshold's sign from its row with the
 largest index. NaN scores, which have no place in the order, come after
-every other point, one point per row in row order.
+every other point, one point per row in row order; in the AUC, a NaN row
+ranks below every other row, and an earlier NaN row above a later one.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,14 +58,28 @@ GROUP_METRIC_ALGORITHMS = frozenset({Algorithm.GCM, Algorithm.MISVM})
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """ROC points (fpr, tpr, threshold) and AUC at both levels, plus
-    ``scores``: the raw row scores that both curves were built from."""
+    """AUC at both levels, plus ``scores``: the raw row scores that both
+    were computed from. Only :func:`evaluate_model` builds one.
 
-    candidate_roc: np.ndarray
+    The ROC points (fpr, tpr, threshold) of each level, ``candidate_roc``
+    and ``group_roc``, are built from the scores and labels the report
+    refers to the first time each is read, and kept from then on.
+    """
+
     candidate_auc: float
-    group_roc: np.ndarray
     group_auc: float
     scores: np.ndarray
+    _labels: np.ndarray = field(repr=False)
+    _group_scores: np.ndarray = field(repr=False)
+    _group_labels: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def candidate_roc(self) -> np.ndarray:
+        return _roc_curve(self.scores, self._labels)
+
+    @functools.cached_property
+    def group_roc(self) -> np.ndarray:
+        return _roc_curve(self._group_scores, self._group_labels)
 
 
 @dataclass(frozen=True)
@@ -100,25 +122,15 @@ def score_groups(scores: np.ndarray, data: Dataset
             scores[amax], amax)
 
 
-def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
-    """ROC points and trapezoidal AUC for +1/-1 labels (others raise).
-
-    Returns an array of (fpr, tpr, threshold) rows starting at
-    (0, 0, inf), then one row per distinct non-NaN score, highest first,
-    counting every row that scores at or above it: tied scores (``inf``
-    and ``-inf`` included) move across the threshold together. A tied
-    block of ``0.0`` and ``-0.0`` takes its threshold's sign from the tied
-    row with the largest index. NaN scores come last, one row each, in row
-    order, with the row's own score as threshold. The AUC is the
-    trapezoid area over the integer counts, divided once at the end.
-
-    The runs of equal values in ``np.sort(scores)`` give the distinct
-    thresholds and the rows at or above each; one ``searchsorted`` of the
-    sorted positive scores into the run values counts the positives per
-    run.
-    """
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The input checks shared by :func:`_auc` and :func:`_roc_curve`:
+    returns the scores as float64, the positive rows, and the positive and
+    negative counts."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    if scores.ndim != 1 or labels.ndim != 1:
+        raise DomainError(f"scores and labels must be 1-D, got shapes "
+                          f"{scores.shape} and {labels.shape}")
     if scores.shape != labels.shape:
         raise DomainError(f"scores and labels differ in shape: "
                           f"{scores.shape} and {labels.shape}")
@@ -131,43 +143,114 @@ def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
             f"labels must be +1 or -1, got {labels[i].item()!r} at index {i}")
     if n_pos == 0 or n_neg == 0:
         raise ConfigurationError("ROC needs both labels present")
+    return scores, is_pos, n_pos, n_neg
+
+
+def _auc(scores, labels) -> float:
+    """:func:`roc_auc`'s AUC without its curve, from two value sorts.
+
+    Each positive counts the negatives below it twice and those tied with
+    it once (two ``searchsorted`` into the sorted negative scores); NaN
+    rows rank below every other row, in row order. The integer sum is twice
+    the curve's trapezoid area, so the AUC has the same bits.
+    """
+    scores, is_pos, n_pos, n_neg = _checked(scores, labels)
+    pos = np.sort(scores[is_pos])
+    neg = np.sort(scores[~is_pos])
+    pos = pos[:np.searchsorted(pos, np.nan)]  # NaN sorts last
+    neg = neg[:np.searchsorted(neg, np.nan)]
+    area = (np.searchsorted(neg, pos, "left").sum(dtype=np.int64)
+            + np.searchsorted(neg, pos, "right").sum(dtype=np.int64))
+    if len(neg) < n_neg:
+        # a NaN negative ranks below every non-NaN positive and every NaN
+        # positive in an earlier row
+        nan_pos = is_pos[np.isnan(scores)]
+        area += 2 * (len(pos) * (n_neg - len(neg))
+                     + np.cumsum(nan_pos)[~nan_pos].sum(dtype=np.int64))
+    return float(area) / (2.0 * n_pos * n_neg)
+
+
+def _roc_curve(scores, labels) -> np.ndarray:
+    """:func:`roc_auc`'s points, written into one (n, 3) array.
+
+    The runs of equal values in ``np.sort(scores)`` give the distinct
+    thresholds and the rows at or above each; one ``searchsorted`` of the
+    sorted positive scores into the run values counts the positives per
+    run. Without ties the sorted scores are the run values themselves.
+    """
+    scores, is_pos, n_pos, n_neg = _checked(scores, labels)
     is_nan = np.isnan(scores)
     nan_rows = np.flatnonzero(is_nan)
-    s = np.sort(scores)[:len(scores) - len(nan_rows)]  # NaN sorts last
-    run_start = np.ones(len(s), dtype=bool)
-    run_start[1:] = s[1:] != s[:-1]  # unlike np.diff, inf == inf here
-    first = np.flatnonzero(run_start)
-    values = s[first]
-    # np.sort orders 0.0 and -0.0 arbitrarily; the last such row sets the sign
-    zero = np.searchsorted(values, 0.0)
-    if zero < len(values) and values[zero] == 0.0:
-        values[zero] = scores[np.flatnonzero(scores == 0.0)[-1]]
+    n = len(scores) - len(nan_rows)
+    s = np.sort(scores)[:n]  # NaN sorts last
+    tied = s[1:] == s[:-1]  # unlike np.diff, inf == inf here
+    if tied.any():
+        first = np.flatnonzero(np.concatenate(([True], ~tied)))
+        values = s[first]
+        # np.sort orders 0.0 and -0.0 arbitrarily; the last such row sets
+        # the sign
+        zero = np.searchsorted(values, 0.0)
+        if zero < len(values) and values[zero] == 0.0:
+            values[zero] = scores[np.flatnonzero(scores == 0.0)[-1]]
+        rows_at = n - first[::-1]
+    else:
+        values = s
+        rows_at = np.arange(1, n + 1)
+    m = len(values)
     pos_per_run = np.bincount(
         np.searchsorted(values, np.sort(scores[is_pos & ~is_nan])),
-        minlength=len(values))
-    rows_per_run = np.diff(np.append(first, len(s)))
+        minlength=m)
     # integer counts at each point, highest threshold first, NaN rows last
-    tp = np.cumsum(np.concatenate([[0], pos_per_run[::-1], is_pos[nan_rows]]))
-    fp = np.cumsum(np.concatenate(
-        [[0], rows_per_run[::-1], np.ones(len(nan_rows), np.int64)])) - tp
-    thresholds = np.concatenate([[np.inf], values[::-1], scores[nan_rows]])
-    points = np.column_stack([fp / n_neg, tp / n_pos, thresholds])
-    # trapezoid area over integer counts: exact up to the final division
-    area = float(np.sum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1])))
-    auc = area / (2.0 * n_pos * n_neg)
-    return points, auc
+    tp = np.empty(1 + m + len(nan_rows), dtype=np.int64)
+    tp[0] = 0
+    np.cumsum(pos_per_run[::-1], out=tp[1:m + 1])
+    np.cumsum(is_pos[nan_rows], out=tp[m + 1:])
+    tp[m + 1:] += tp[m]
+    fp = np.empty_like(tp)
+    fp[0] = 0
+    fp[1:m + 1] = rows_at
+    fp[m + 1:] = np.arange(n + 1, len(scores) + 1)
+    fp -= tp
+    points = np.empty((len(tp), 3))
+    np.divide(fp, n_neg, out=points[:, 0])
+    np.divide(tp, n_pos, out=points[:, 1])
+    points[0, 2] = np.inf
+    points[1:m + 1, 2] = values[::-1]
+    points[m + 1:, 2] = scores[nan_rows]
+    return points
+
+
+def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
+    """ROC points and AUC for +1/-1 labels (others raise), from 1-D arrays
+    of one shape (others raise).
+
+    Returns an array of (fpr, tpr, threshold) rows starting at
+    (0, 0, inf), then one row per distinct non-NaN score, highest first,
+    counting every row that scores at or above it: tied scores (``inf``
+    and ``-inf`` included) move across the threshold together. A tied
+    block of ``0.0`` and ``-0.0`` takes its threshold's sign from the tied
+    row with the largest index. NaN scores come last, one row each, in row
+    order, with the row's own score as threshold.
+
+    The AUC is the curve's trapezoid area, but it is counted without the
+    curve: from the two classes' sorted scores, as the concordant pairs
+    with ties worth one half, in integers divided once at the end.
+    """
+    return _roc_curve(scores, labels), _auc(scores, labels)
 
 
 def evaluate_model(model: LinearModel, data: Dataset) -> EvalReport:
-    """Candidate-level and group-level ROC/AUC for one model on one dataset.
+    """Candidate-level and group-level AUC for one model on one dataset.
 
     The rows are scored once; each group's score is its maximal row score.
+    Both AUCs come from value sorts of each class's scores; the report
+    builds a ROC curve only when it is read.
     """
     scores = model.raw_scores(data.X)
-    cand_roc, cand_auc = roc_auc(scores, data.labels)
-    group_roc, group_auc = roc_auc(
-        scores[_group_argmax(scores, data.group_starts)], data.group_labels)
-    return EvalReport(cand_roc, cand_auc, group_roc, group_auc, scores)
+    group_scores = scores[_group_argmax(scores, data.group_starts)]
+    return EvalReport(_auc(scores, data.labels),
+                      _auc(group_scores, data.group_labels), scores,
+                      data.labels, group_scores, data.group_labels)
 
 
 #: Rows formatted per write, so a report never sits in memory whole.

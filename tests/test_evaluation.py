@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ class TestRocAuc:
                            match=fr"\({n_scores},\) and \({n_labels},\)"):
             roc_auc([1.0, 2.0, 3.0][:n_scores], [1, -1, -1][:n_labels])
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([[1.0, 2.0, 0.1]], [[1, -1, -1]]),
+        ([[1.0], [2.0], [0.1]], [[1], [-1], [-1]]),
+        ([[1.0, 2.0, 0.1], [0.5, -1.0, 3.0]], [[1, -1, -1], [-1, 1, -1]]),
+    ], ids=["row", "column", "2x3"])
+    @pytest.mark.parametrize("count", [roc_auc, gcm.evaluation._auc],
+                             ids=["roc_auc", "_auc"])
+    def test_non_1d_input_rejected(self, count, scores, labels):
+        shape = np.shape(scores)
+        with pytest.raises(DomainError, match=re.escape(
+                f"1-D, got shapes {shape} and {shape}")):
+            count(scores, labels)
+
     def test_dataset_labels_accepted(self, rng):
         ds = build_grouped_dataset(rng, 3, 4, 2, 3, 2)
         scores = rng.normal(size=ds.n_rows)
@@ -186,6 +200,22 @@ class TestRocAuc:
         want_points, want_auc = roc_points(scores, labels)
         assert points.tobytes() == np.array(want_points).tobytes()
         assert repr(auc) == repr(want_auc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores_and_labels())
+    def test_auc_without_curve_matches_roc_points_oracle(self, case):
+        scores, labels = case
+        assert repr(gcm.evaluation._auc(scores, labels)) == repr(
+            roc_points(scores, labels)[1])
+
+    def test_auc_counts_above_two_to_the_32_exactly(self):
+        # 70,000 x 70,000 pairs: the doubled pair count exceeds 2**32
+        n = 70_000
+        labels = np.repeat([1, -1], n)
+        for scores, want in ((np.zeros(2 * n), 0.5),
+                             (np.repeat([1.0, -1.0], n), 1.0)):
+            assert gcm.evaluation._auc(scores, labels) == want
+            assert roc_auc(scores, labels)[1] == want
 
     @pytest.mark.parametrize("labels", [[1, -1, -1], [-1, 1, -1]])
     def test_tied_infinities_cross_together(self, labels):
@@ -234,6 +264,24 @@ class TestEvaluateModel:
                             lambda self, X: calls.append(X) or raw_scores(self, X))
         evaluate_model(model, ds)
         assert len(calls) == 1
+
+    def test_builds_curves_only_when_read(self, rng, monkeypatch):
+        ds = build_grouped_dataset(rng, 4, 5, 2, 6, 3)
+        calls = []
+        roc_curve = gcm.evaluation._roc_curve
+        monkeypatch.setattr(gcm.evaluation, "_roc_curve",
+                            lambda s, y: calls.append(len(s)) or roc_curve(s, y))
+        report = evaluate_model(LinearModel(rng.normal(size=3), 0.1), ds)
+        assert calls == []
+        assert report.candidate_roc is report.candidate_roc
+        assert calls == [ds.n_rows]
+        report.group_roc
+        assert calls == [ds.n_rows, ds.n_groups]
+
+    def test_single_class_raises_when_evaluated(self):
+        ds, model = score_fixture()
+        with pytest.raises(ConfigurationError, match="both labels"):
+            evaluate_model(model, ds)
 
     def test_group_curve_is_over_score_groups(self, rng):
         ds = build_grouped_dataset(rng, 5, 7, 1, 6, 3)
