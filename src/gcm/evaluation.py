@@ -9,8 +9,8 @@ concordant-pair count with ties worth one half.
 The AUC is counted without the curve, from two value sorts: each class's
 non-NaN scores are sorted, and each positive counts the negatives below it
 and, at half weight, those tied with it. :func:`evaluate_model` computes
-only the AUCs; an :class:`EvalReport` builds a level's curve the first time
-it is read, which only the report writer does.
+only the AUCs; an :class:`EvalReport` builds a level's curve when it is
+read, which only the report writer does.
 
 A curve is built from value sorts, never from an index sort: the runs of
 equal values in the sorted scores give one point per distinct score and the
@@ -26,7 +26,6 @@ ranks below every other row, and an earlier NaN row above a later one.
 from __future__ import annotations
 
 import enum
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,7 +62,7 @@ class EvalReport:
 
     The ROC points (fpr, tpr, threshold) of each level, ``candidate_roc``
     and ``group_roc``, are built from the scores and labels the report
-    refers to the first time each is read, and kept from then on.
+    refers to each time they are read.
     """
 
     candidate_auc: float
@@ -73,11 +72,11 @@ class EvalReport:
     _group_scores: np.ndarray = field(repr=False)
     _group_labels: np.ndarray = field(repr=False)
 
-    @functools.cached_property
+    @property
     def candidate_roc(self) -> np.ndarray:
         return _roc_curve(self.scores, self._labels)
 
-    @functools.cached_property
+    @property
     def group_roc(self) -> np.ndarray:
         return _roc_curve(self._group_scores, self._group_labels)
 
@@ -176,26 +175,22 @@ def _roc_curve(scores, labels) -> np.ndarray:
     The runs of equal values in ``np.sort(scores)`` give the distinct
     thresholds and the rows at or above each; one ``searchsorted`` of the
     sorted positive scores into the run values counts the positives per
-    run. Without ties the sorted scores are the run values themselves.
+    run.
     """
     scores, is_pos, n_pos, n_neg = _checked(scores, labels)
     is_nan = np.isnan(scores)
     nan_rows = np.flatnonzero(is_nan)
     n = len(scores) - len(nan_rows)
     s = np.sort(scores)[:n]  # NaN sorts last
-    tied = s[1:] == s[:-1]  # unlike np.diff, inf == inf here
-    if tied.any():
-        first = np.flatnonzero(np.concatenate(([True], ~tied)))
-        values = s[first]
-        # np.sort orders 0.0 and -0.0 arbitrarily; the last such row sets
-        # the sign
-        zero = np.searchsorted(values, 0.0)
-        if zero < len(values) and values[zero] == 0.0:
-            values[zero] = scores[np.flatnonzero(scores == 0.0)[-1]]
-        rows_at = n - first[::-1]
-    else:
-        values = s
-        rows_at = np.arange(1, n + 1)
+    run_start = np.ones(len(s), dtype=bool)
+    run_start[1:] = s[1:] != s[:-1]  # unlike np.diff, inf == inf here
+    first = np.flatnonzero(run_start)
+    values = s[first]
+    # np.sort orders 0.0 and -0.0 arbitrarily; the last such row sets the sign
+    zero = np.searchsorted(values, 0.0)
+    if zero < len(values) and values[zero] == 0.0:
+        values[zero] = scores[np.flatnonzero(scores == 0.0)[-1]]
+    rows_at = n - first[::-1]
     m = len(values)
     pos_per_run = np.bincount(
         np.searchsorted(values, np.sort(scores[is_pos & ~is_nan])),
